@@ -36,7 +36,7 @@ crash-drill: build
 # count so the bench code cannot rot; real perf deltas come from
 # `experiments -bench-compare old.json new.json`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTC|BenchmarkEngineFleet|BenchmarkEngineBurst|BenchmarkDaemonLoopback|BenchmarkTreePar' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTC|BenchmarkEngineFleet|BenchmarkEngineBurst|BenchmarkDaemonLoopback' -benchtime 100x -benchmem .
 
 # bench-compare gates a perf PR mechanically: record OLD=... from the
 # base commit and NEW=... from the candidate (both via

@@ -98,32 +98,6 @@ func BenchmarkEngineFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkTreePar measures intra-tree parallelism: ONE hot tree
-// served through the partitioned subtree-shard instance, 2/4/8 owner
-// goroutines. BenchmarkTreeParSeq is the same-process sequential
-// control on the identical workload, so shards=4 vs TreeParSeq is the
-// apples-to-apples speedup pair. The grid is shared with the
-// -bench-json recorder via experiments.TreeParBenchCases.
-func BenchmarkTreePar(b *testing.B) {
-	for _, c := range experiments.TreeParBenchCases() {
-		c := c
-		if sub, ok := strings.CutPrefix(c.Name, "TreePar/"); ok {
-			b.Run(sub, func(b *testing.B) { experiments.TreeParBench(b, c) })
-		}
-	}
-}
-
-// BenchmarkTreeParSeq replays the identical single-tree workload
-// through the plain sequential ServeBatch path.
-func BenchmarkTreeParSeq(b *testing.B) {
-	for _, c := range experiments.TreeParBenchCases() {
-		c := c
-		if c.Name == "TreeParSeq" {
-			b.Run("control", func(b *testing.B) { experiments.TreeParBench(b, c) })
-		}
-	}
-}
-
 // BenchmarkDaemonLoopback measures the treecached serving path end to
 // end: wire clients drive pre-chunked batches over loopback TCP into
 // the daemon's sequenced admission and sharded engine, so ns/op is

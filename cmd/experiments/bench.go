@@ -29,10 +29,10 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// GoMaxProcs is the scheduler width the row was measured under.
-	// Parallel rows (EngineFleet shards>1, TreePar) are only
-	// interpretable next to it: at 1 the intra-tree rows gate to the
-	// sequential path by design, so a flat delta there is the expected
-	// result, not a missing speedup. -bench-cpus sweeps it.
+	// Rows that start goroutines (EngineFleet, EngineBurst,
+	// EngineChurn, DaemonLoopback) are only interpretable next to it:
+	// at 1 the shard workers and wire clients time-share one processor,
+	// so shards>1 ties shards=1 by design. -bench-cpus sweeps it.
 	GoMaxProcs int `json:"gomaxprocs"`
 }
 
@@ -90,16 +90,6 @@ func runBurstBench(c experiments.BurstBenchCase) benchResult {
 	return toResult(c.Name, testing.Benchmark(func(b *testing.B) { experiments.BurstBench(b, c) }))
 }
 
-// runTreeParBench measures one cell of the intra-tree parallelism grid
-// (body shared with the repo-root BenchmarkTreePar / BenchmarkTreeParSeq):
-// ns/op is per request served through one partitioned (or, for the
-// TreeParSeq control, plain sequential) instance. The parallel rows
-// gate on GOMAXPROCS, so sweep them with -bench-cpus to see both the
-// one-core pass-through and the multi-core wave dispatch.
-func runTreeParBench(c experiments.TreeParBenchCase) benchResult {
-	return toResult(c.Name, testing.Benchmark(func(b *testing.B) { experiments.TreeParBench(b, c) }))
-}
-
 // runDaemonBench measures one cell of the treecached loopback grid
 // (body shared with the repo-root BenchmarkDaemonLoopback): ns/op is
 // per request driven by real wire clients through an in-process
@@ -128,10 +118,11 @@ func runBenchCase(c experiments.BenchCase) benchResult {
 // "current" (preserving any existing "baseline").
 //
 // cpus is the -bench-cpus sweep: the GOMAXPROCS settings to measure the
-// intra-tree parallelism (TreePar) grid under. Every other grid runs at
-// the ambient setting. nil or empty means ambient only; with more than
-// one value the swept rows carry a /cpus=N name suffix so the JSON
-// keeps every point.
+// rows that start goroutines under (EngineFleet, EngineBurst,
+// EngineChurn, DaemonLoopback). The single-goroutine grids run at the
+// ambient setting. nil or empty means ambient only; with more than one
+// value the swept rows carry a /cpus=N name suffix so the JSON keeps
+// every point.
 func emitBenchJSON(path string, asBaseline bool, cpus []int) error {
 	var file benchFile
 	raw, err := os.ReadFile(path)
@@ -149,14 +140,16 @@ func emitBenchJSON(path string, asBaseline bool, cpus []int) error {
 	}
 	cases := experiments.TCBenchCases()
 	burstCases := experiments.BurstBenchCases()
-	churnCases := append(experiments.ChurnBenchCases(), experiments.EngineChurnCases()...)
+	churnCases := experiments.ChurnBenchCases()
+	engineChurnCases := experiments.EngineChurnCases()
 	engineCases := append(experiments.EngineBenchCases(), experiments.EngineBurstCases()...)
 	daemonCases := experiments.DaemonBenchCases()
-	treeParCases := experiments.TreeParBenchCases()
+	ambient := runtime.GOMAXPROCS(0)
 	if len(cpus) == 0 {
-		cpus = []int{runtime.GOMAXPROCS(0)}
+		cpus = []int{ambient}
 	}
-	results := make([]benchResult, 0, len(cases)+len(burstCases)+len(churnCases)+len(engineCases)+len(daemonCases)+len(treeParCases)*len(cpus))
+	swept := len(engineCases) + len(engineChurnCases) + len(daemonCases)
+	results := make([]benchResult, 0, len(cases)+len(burstCases)+len(churnCases)+swept*len(cpus))
 	for _, c := range cases {
 		fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
 		results = append(results, runBenchCase(c))
@@ -169,29 +162,26 @@ func emitBenchJSON(path string, asBaseline bool, cpus []int) error {
 		fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
 		results = append(results, runChurnBench(c))
 	}
-	for _, c := range engineCases {
-		fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
-		results = append(results, runEngineBench(c))
-	}
-	for _, c := range daemonCases {
-		fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
-		results = append(results, runDaemonBench(c))
-	}
-	ambient := runtime.GOMAXPROCS(0)
 	for _, procs := range cpus {
-		if procs <= 0 {
-			procs = ambient
-		}
 		runtime.GOMAXPROCS(procs)
-		for _, c := range treeParCases {
-			name := c.Name
-			if len(cpus) > 1 {
-				name = fmt.Sprintf("%s/cpus=%d", c.Name, procs)
-			}
-			fmt.Fprintf(os.Stderr, "bench %s...\n", name)
-			r := runTreeParBench(c)
-			r.Name = name
-			results = append(results, r)
+		suffix := ""
+		if len(cpus) > 1 {
+			suffix = fmt.Sprintf("/cpus=%d", procs)
+		}
+		for _, c := range engineChurnCases {
+			c.Name += suffix
+			fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
+			results = append(results, runChurnBench(c))
+		}
+		for _, c := range engineCases {
+			c.Name += suffix
+			fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
+			results = append(results, runEngineBench(c))
+		}
+		for _, c := range daemonCases {
+			c.Name += suffix
+			fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
+			results = append(results, runDaemonBench(c))
 		}
 	}
 	runtime.GOMAXPROCS(ambient)

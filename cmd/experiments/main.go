@@ -11,8 +11,8 @@
 //	experiments -bench-json BENCH_core.json # record TC microbenchmarks
 //	experiments -bench-json BENCH_core.json -bench-baseline
 //	                                        # record them as the baseline section
-//	experiments -bench-json out.json -bench-cpus 1,4
-//	                                        # sweep the TreePar grid across GOMAXPROCS
+//	experiments -bench-json out.json -bench-cpus 1,2
+//	                                        # sweep the goroutine rows across GOMAXPROCS
 //	experiments -bench-compare old.json new.json
 //	                                        # before/after delta table
 package main
@@ -35,7 +35,7 @@ func main() {
 	benchBaseline := flag.Bool("bench-baseline", false, "with -bench-json, store results under the persistent 'baseline' section instead of 'current'")
 	benchCompare := flag.Bool("bench-compare", false, "compare two bench JSON files (args: old.json new.json) and print a per-benchmark delta table, then exit")
 	benchTolerance := flag.Float64("bench-tolerance", 30, "with -bench-compare, exit non-zero only when a benchmark's ns/op regressed by more than this percentage (matches the ±30% container drift; 0 disables the gate; values in (0,1] are read as fractions, so 0.3 == 30)")
-	benchCPUs := flag.String("bench-cpus", "", "with -bench-json, comma-separated GOMAXPROCS settings to sweep the TreePar grid across (e.g. '1,4'); empty = ambient setting only")
+	benchCPUs := flag.String("bench-cpus", "", "with -bench-json, comma-separated GOMAXPROCS settings to sweep the rows that start goroutines (EngineFleet, EngineBurst, EngineChurn, DaemonLoopback) across (e.g. '1,2'); empty = ambient setting only")
 	flag.Parse()
 
 	cpus, err := parseCPUList(*benchCPUs)

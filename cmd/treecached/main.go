@@ -49,7 +49,7 @@ func main() {
 		alpha     = flag.Int64("alpha", 8, "per-node fetch/evict cost α (even integer ≥ 2)")
 		capacity  = flag.Int("capacity", 128, "online cache size per tenant")
 		queueLen  = flag.Int("queue", 64, "per-shard submission queue length (backpressure bound)")
-		ckptEvery = flag.Int("checkpoint-every", 32, "supervision checkpoint cadence, batches (0 disables journal-replay recovery)")
+		ckptEvery = flag.Int("checkpoint-every", 32, "supervision checkpoint cadence, in served messages (0 = the -queue length; negative disables journal-replay recovery)")
 		quotaRate = flag.Float64("quota-rate", 0, "per-tenant admission quota, requests/second (0 disables)")
 		quotaBur  = flag.Int("quota-burst", 0, "per-tenant quota burst, requests (default max(rate,1))")
 		rdTimeout = flag.Duration("read-timeout", 30*time.Second, "per-connection idle/read deadline")

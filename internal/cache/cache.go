@@ -298,45 +298,6 @@ func (s *Subforest) Evict(x []tree.NodeID) error {
 	return nil
 }
 
-// FetchOwned is Fetch for a partitioned owner serving a disjoint
-// subtree: it updates membership and the per-heavy-path boundaries but
-// defers the shared occupancy count to AdjustLen at the owner barrier.
-// Concurrent FetchOwned/EvictOwned calls are safe exactly when their
-// changesets live under disjoint heavy-path-head cuts — then the in,
-// mark and cstart indices they touch are disjoint, and the reads that
-// reach above a cut (a head's parent) hit state no owner writes.
-func (s *Subforest) FetchOwned(x []tree.NodeID) error {
-	if !s.ValidPositive(x) {
-		return fmt.Errorf("cache: invalid positive changeset of %d nodes", len(x))
-	}
-	for _, v := range x {
-		s.in[v] = true
-		if pid, pos := s.t.HeavyPathOf(v), s.t.HeavyPos(v); pos < s.cstart[pid] {
-			s.cstart[pid] = pos
-		}
-	}
-	return nil
-}
-
-// EvictOwned is Evict with the occupancy count deferred to AdjustLen;
-// see FetchOwned for the concurrency contract.
-func (s *Subforest) EvictOwned(x []tree.NodeID) error {
-	if !s.ValidNegative(x) {
-		return fmt.Errorf("cache: invalid negative changeset of %d nodes", len(x))
-	}
-	for _, v := range x {
-		s.in[v] = false
-		if pid, pos := s.t.HeavyPathOf(v), s.t.HeavyPos(v); pos >= s.cstart[pid] {
-			s.cstart[pid] = pos + 1
-		}
-	}
-	return nil
-}
-
-// AdjustLen settles the occupancy delta of a wave of FetchOwned and
-// EvictOwned calls. Owner-barrier use only.
-func (s *Subforest) AdjustLen(d int) { s.n += d }
-
 // InstallMembers adds members to the cache without changeset
 // validation, revalidating the per-heavy-path cached boundaries as it
 // goes. It is the topology-epoch migration primitive: a dynamic

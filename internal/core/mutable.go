@@ -445,26 +445,6 @@ func (m *MutableTC) Pending() int { return m.dyn.Pending() }
 // Rebuilds returns how many state-migrating rebuilds have run.
 func (m *MutableTC) Rebuilds() int64 { return m.rebuilds }
 
-// Core returns the embedded dense-id TC over the current snapshot.
-// The pointer changes at every Rebuild (installSnapshot swaps the
-// inner instance); callers holding it across mutations must re-fetch.
-// The partitioned serve path (internal/treepar) keys its partition on
-// exactly this pointer.
-func (m *MutableTC) Core() *TC { return m.tc }
-
-// Quiesced reports whether the instance currently has no overlay
-// state at all: no pending mutations, no overlay leaves (live or
-// tombstoned) and no phantom-pinned snapshot nodes. A quiesced
-// MutableTC serves dense-id requests exactly like its embedded static
-// TC, which is the window the partitioned serve path requires.
-func (m *MutableTC) Quiesced() bool {
-	ov := m.tc.ov
-	return m.dyn.Pending() == 0 && len(ov.leaves) == 0 && len(ov.phNode) == 0
-}
-
-// Observed reports whether an analysis observer is attached.
-func (m *MutableTC) Observed() bool { return m.cfg.Observer != nil }
-
 // Alpha returns α.
 func (m *MutableTC) Alpha() int64 { return m.cfg.Alpha }
 

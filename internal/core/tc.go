@@ -924,17 +924,6 @@ func (a *TC) negLastRec(off, base, p, l, t, lo, hi, qr int32, acc int64) int32 {
 // ---------------------------------------------------------------------------
 
 func (a *TC) serveNegative(v tree.NodeID) {
-	if r := a.negServe(v); r != tree.None {
-		a.applyEvict(r)
-	}
-}
-
-// negServe advances the negative-side counter state for one paid
-// negative request on cached v and returns the root of the saturated
-// cap to evict, or tree.None when the cache stays put. The decision is
-// split from applyEvict so the partitioned serve path (shard.go) can
-// route the eviction through a shard-local view.
-func (a *TC) negServe(v tree.NodeID) tree.NodeID {
 	// Bump v's counter: hA(v) += 1 (hA = cnt − α + sA; the counter
 	// bump is absorbed directly by hA). Then propagate v's contribution
 	// change along the cached chain. The linear implementation rebuilt
@@ -963,20 +952,23 @@ func (a *TC) negServe(v tree.NodeID) tree.NodeID {
 		// Was ≤ −2: contribution (0,0) before and after, and no
 		// eviction even if v roots its cached tree. The common case
 		// costs two slot loads total.
-		return tree.None
+		return
 	}
 	if up < 0 || a.nLeaf(up).hA <= notCachedHA/2 {
 		// v's parent is absent or non-cached (sentinel): v roots its
 		// cached tree, and its cap is saturated.
-		return v
+		a.applyEvict(v)
+		return
 	}
 	if hA == 0 {
 		// Flip −1 → 0: contribution (0,0) → (0, hB).
 		a.negPropagateB(up, hB)
-		return tree.None
+		return
 	}
 	// Was ≥ 0 and stays positive: contribution grows by (+1, 0).
-	return a.negPropagateA(up)
+	if r := a.negPropagateA(up); r != tree.None {
+		a.applyEvict(r)
+	}
 }
 
 // negPropagateA climbs from slot g adding +1 to hA along the maximal

@@ -124,17 +124,6 @@ type SnapshotVerifier interface {
 	VerifySnapshot(data []byte) error
 }
 
-// SubtreePartitioner is implemented by shard algorithms that can serve
-// ONE tree with intra-tree parallelism: PartitionSubtrees returns a
-// replacement instance that splits the tree into k subtree shards
-// served by concurrent owner goroutines (internal/treepar), or nil
-// when the instance cannot be partitioned (observer attached, tree too
-// small). The returned algorithm takes over the shard slot; the
-// original must not be served directly afterwards.
-type SubtreePartitioner interface {
-	PartitionSubtrees(k int) Algorithm
-}
-
 // Config parameterises an Engine.
 type Config struct {
 	// Shards is the number of independent instances (tenants); ≥ 1.
@@ -156,12 +145,6 @@ type Config struct {
 	// messages. 0 selects the default (the queue capacity); a negative
 	// value disables supervision even for Checkpointer algorithms.
 	CheckpointEvery int
-	// SubtreeShards, when ≥ 2, asks each shard algorithm implementing
-	// SubtreePartitioner for an intra-tree parallel instance with that
-	// many subtree-shard owners. Algorithms that do not implement the
-	// interface (or decline by returning nil) stay sequential; 0 or 1
-	// disables intra-tree parallelism everywhere.
-	SubtreeShards int
 	// RatioMonitors optionally attaches an online competitive-ratio
 	// monitor to shard i (nil entries and missing tail entries mean no
 	// monitor). After each served batch the shard's worker feeds the
@@ -353,13 +336,6 @@ func New(cfg Config) *Engine {
 	}
 	for i := range e.shards {
 		algo := cfg.NewShard(i)
-		if cfg.SubtreeShards >= 2 {
-			if sp, ok := algo.(SubtreePartitioner); ok {
-				if par := sp.PartitionSubtrees(cfg.SubtreeShards); par != nil {
-					algo = par
-				}
-			}
-		}
 		s := &shard{
 			id:   i,
 			name: algo.Name(),
@@ -699,11 +675,6 @@ func (e *Engine) Stats() Stats {
 // per-batch atomic publication escapes.
 func (e *Engine) worker(s *shard) {
 	defer close(s.done)
-	// Retire algorithms that own resources (the intra-tree parallel
-	// instance's owner goroutines) when the shard's queue closes.
-	if c, ok := s.algo.(interface{ Close() }); ok {
-		defer c.Close()
-	}
 	var w counters
 	if s.sup != nil {
 		// Initial recovery point: a shard that faults before its first

@@ -13,7 +13,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/tree"
-	"repro/internal/treepar"
 )
 
 // BenchCase is one cell of the TC serve-path microbenchmark grid. The
@@ -360,68 +359,6 @@ func EngineFleetBench(b *testing.B, c EngineBenchCase) {
 		}
 	}
 	e.Drain()
-}
-
-// TreeParBenchCase is one cell of the intra-tree parallelism grid:
-// ONE hot tree of 2^14 nodes served through the partitioned instance
-// (internal/treepar) with Shards subtree-shard owner goroutines.
-// Shards == 0 is the sequential control row (the plain TC ServeBatch
-// path on the identical workload), so TreeParSeq vs TreePar/shards=k
-// is a same-process apples-to-apples pair: on a multi-core host
-// shards=4 should reach ≥1.5× the sequential row's throughput, on a
-// single-core host the pair must stay within the ±30% tolerance gate.
-type TreeParBenchCase struct {
-	Name   string
-	Shards int
-	Batch  int
-}
-
-// TreeParBenchCases returns the canonical intra-tree grid, shared by
-// the repo-root BenchmarkTreePar/BenchmarkTreeParSeq and the
-// cmd/experiments -bench-json recorder.
-func TreeParBenchCases() []TreeParBenchCase {
-	return []TreeParBenchCase{
-		{"TreeParSeq", 0, 4096},
-		{"TreePar/shards=2", 2, 4096},
-		{"TreePar/shards=4", 4, 4096},
-		{"TreePar/shards=8", 8, 4096},
-	}
-}
-
-// TreeParBench is the single benchmark body behind one grid cell: the
-// TCBinary/n=16384 workload (uniform RandomMixed — per-request
-// decision cost, no run-coalescing shortcut) served batch-at-a-time.
-// ns/op is per request.
-func TreeParBench(b *testing.B, c TreeParBenchCase) {
-	t := EngineBenchTree()
-	rng := rand.New(rand.NewSource(3))
-	full := trace.RandomMixed(rng, t, 1<<16)
-	var chunks []trace.Trace
-	for lo := 0; lo < len(full); lo += c.Batch {
-		hi := lo + c.Batch
-		if hi > len(full) {
-			hi = len(full)
-		}
-		chunks = append(chunks, full[lo:hi])
-	}
-	a := core.New(t, core.Config{Alpha: 8, Capacity: EngineBenchCapacity})
-	serve := a.ServeBatch
-	if c.Shards >= 2 {
-		p := treepar.New(a, treepar.Options{Shards: c.Shards})
-		defer p.Close()
-		serve = p.ServeBatch
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	remaining := b.N
-	for i := 0; remaining > 0; i++ {
-		chunk := chunks[i%len(chunks)]
-		if len(chunk) > remaining {
-			chunk = chunk[:remaining]
-		}
-		serve(chunk)
-		remaining -= len(chunk)
-	}
 }
 
 // DaemonBenchCase is one cell of the treecached loopback grid: the

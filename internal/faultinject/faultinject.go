@@ -245,12 +245,3 @@ func (a *Algo) VerifySnapshot(data []byte) error {
 	}
 	return nil
 }
-
-// Close forwards to the inner algorithm when it owns resources (the
-// intra-tree parallel instance's owner goroutines), so the engine's
-// retire-on-worker-exit hook reaches through the fault wrapper.
-func (a *Algo) Close() {
-	if c, ok := a.Inner.(interface{ Close() }); ok {
-		c.Close()
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/opt"
 	"repro/internal/trace"
-	"repro/internal/treepar"
 )
 
 // TenantRequest tags a Request with the tenant (engine shard) whose
@@ -74,18 +73,6 @@ type EngineOptions struct {
 	// supervision (a shard panic then propagates and crashes the
 	// process, the pre-supervision behaviour).
 	CheckpointEvery int
-	// SubtreeShards, when ≥ 2, turns on intra-tree parallelism per
-	// shard: each tenant's tree is partitioned into that many subtree
-	// shards cut at heavy-path heads and served by concurrent owner
-	// goroutines, with cross-boundary effects exchanged as batched
-	// frontier messages at wave barriers (internal/treepar). Results
-	// are exactly the sequential ones — same costs, counters and cache
-	// contents. Requires Observer == nil; shards whose tree is too
-	// small to partition (pure paths, tiny trees) stay sequential, and
-	// waves only dispatch while runtime.GOMAXPROCS(0) ≥ 2 (on a single
-	// processor the partitioned instance passes through to the batched
-	// sequential path — the barrier overhead cannot be repaid).
-	SubtreeShards int
 	// RatioWindow, when > 0, attaches an online competitive-ratio
 	// monitor to every shard: each monitor accumulates the shard's
 	// request stream plus exact cost ledger deltas and, every
@@ -155,25 +142,9 @@ func NewEngine(trees []*Tree, o Options, eo EngineOptions) *Engine {
 		QueueLen:        eo.QueueLen,
 		Parallelism:     eo.Parallelism,
 		CheckpointEvery: eo.CheckpointEvery,
-		SubtreeShards:   eo.SubtreeShards,
 		RatioMonitors:   monitors,
 	})
 	return &Engine{e: e, caches: caches}
-}
-
-// PartitionSubtrees makes Cache satisfy engine.SubtreePartitioner: it
-// returns an intra-tree parallel instance serving this cache's tree
-// with k subtree-shard owner goroutines (internal/treepar), or nil
-// when the cache cannot be partitioned (k < 2, or an observer is
-// attached — observer callbacks assume the sequential serve order).
-// The engine calls this when EngineOptions.SubtreeShards ≥ 2; after
-// partitioning, serve only through the returned instance (inspection
-// through the Cache stays valid while the engine is quiescent).
-func (c *Cache) PartitionSubtrees(k int) engine.Algorithm {
-	if k < 2 || c.tc.Observed() {
-		return nil
-	}
-	return treepar.NewMutable(c.tc, treepar.Options{Shards: k})
 }
 
 // Supervised reports whether shard i runs under crash supervision
