@@ -32,11 +32,12 @@ e2e: build
 crash-drill: build
 	scripts/crash_drill.sh $(BIN)
 
-# bench-smoke pins the benchmark grids at a fixed small iteration
-# count so the bench code cannot rot; real perf deltas come from
+# bench-smoke runs every row of the benchmark table (experiments.Benches)
+# at a fixed small iteration count, at -cpu 1,2, so the bench code
+# cannot rot; real perf deltas come from
 # `experiments -bench-compare old.json new.json`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTC|BenchmarkEngineFleet|BenchmarkEngineBurst|BenchmarkDaemonLoopback' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTC|BenchmarkEngine|BenchmarkDaemon' -benchtime 100x -benchmem -cpu 1,2 .
 
 # bench-compare gates a perf PR mechanically: record OLD=... from the
 # base commit and NEW=... from the candidate (both via

@@ -28,128 +28,36 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// E3 / Theorem 6.1: per-request decision cost by shape and size. The
-// shape grid lives in experiments.TCBenchCases, shared with the
-// cmd/experiments -bench-json recorder.
+// The benchmark table: E3 / Theorem 6.1 per-request decision cost by
+// shape and size, then the batched, churn, engine and daemon layers.
+// Rows are defined once, in experiments.Benches, shared with the
+// cmd/experiments -bench-json recorder; each function below runs one
+// group of them.
 // ---------------------------------------------------------------------------
 
-func benchTC(b *testing.B, t *tree.Tree, capacity int) {
-	rng := rand.New(rand.NewSource(1))
-	input := trace.RandomMixed(rng, t, 1<<16)
-	tc := core.New(t, core.Config{Alpha: 8, Capacity: capacity})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tc.Serve(input[i&(1<<16-1)])
-	}
-}
-
-func benchTCGroup(b *testing.B, group string) {
-	for _, c := range experiments.TCBenchCases() {
-		if sub, ok := strings.CutPrefix(c.Name, group+"/"); ok {
-			b.Run(sub, func(b *testing.B) { benchTC(b, c.Build(), c.Capacity) })
+// benchGroup runs every experiments.Benches row named "<group>/<param>"
+// as sub-benchmark <param>.
+func benchGroup(b *testing.B, group string) {
+	for _, r := range experiments.Benches() {
+		if sub, ok := strings.CutPrefix(r.Name, group+"/"); ok {
+			b.Run(sub, r.Run)
 		}
 	}
 }
 
-func BenchmarkTCStar(b *testing.B)        { benchTCGroup(b, "TCStar") }
-func BenchmarkTCPath(b *testing.B)        { benchTCGroup(b, "TCPath") }
-func BenchmarkTCBinary(b *testing.B)      { benchTCGroup(b, "TCBinary") }
-func BenchmarkTCWideFanout(b *testing.B)  { benchTCGroup(b, "TCWideFanout") }
-func BenchmarkTCCaterpillar(b *testing.B) { benchTCGroup(b, "TCCaterpillar") }
-func BenchmarkTCDeepRandom(b *testing.B)  { benchTCGroup(b, "TCDeepRandom") }
-
-// BenchmarkTCBurst measures the batched serve path on correlated-burst
-// workloads (TCBurstSeq is the per-request before side); the grid is
-// shared with the -bench-json recorder via experiments.BurstBenchCases.
-func BenchmarkTCBurst(b *testing.B) {
-	for _, c := range experiments.BurstBenchCases() {
-		c := c
-		if sub, ok := strings.CutPrefix(c.Name, "TCBurst/"); ok {
-			b.Run(sub, func(b *testing.B) { experiments.BurstBench(b, c) })
-		}
-	}
-}
-
-// BenchmarkTCBurstSeq replays the identical bursty traces per-request.
-func BenchmarkTCBurstSeq(b *testing.B) {
-	for _, c := range experiments.BurstBenchCases() {
-		c := c
-		if sub, ok := strings.CutPrefix(c.Name, "TCBurstSeq/"); ok {
-			b.Run(sub, func(b *testing.B) { experiments.BurstBench(b, c) })
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Sharded serving engine: aggregate fleet throughput. Each op is one
-// request served somewhere in the fleet; the grid (shared with the
-// -bench-json recorder) scales the shard count at a fixed per-shard
-// workload, so ns/op directly compares against the single-instance
-// TCBinary/n=16384 serve path.
-// ---------------------------------------------------------------------------
-
-func BenchmarkEngineFleet(b *testing.B) {
-	for _, c := range experiments.EngineBenchCases() {
-		c := c
-		if sub, ok := strings.CutPrefix(c.Name, "EngineFleet/"); ok {
-			b.Run(sub, func(b *testing.B) { experiments.EngineFleetBench(b, c) })
-		}
-	}
-}
-
-// BenchmarkDaemonLoopback measures the treecached serving path end to
-// end: wire clients drive pre-chunked batches over loopback TCP into
-// the daemon's sequenced admission and sharded engine, so ns/op is
-// per request acknowledged and served. The clients=4 row shows how
-// much shard parallelism survives framing and the syscall boundary.
-func BenchmarkDaemonLoopback(b *testing.B) {
-	for _, c := range experiments.DaemonBenchCases() {
-		c := c
-		if sub, ok := strings.CutPrefix(c.Name, "DaemonLoopback/"); ok {
-			b.Run(sub, func(b *testing.B) { experiments.DaemonLoopbackBench(b, c) })
-		}
-	}
-}
-
-// BenchmarkEngineBurst measures fleet throughput on bursty traffic:
-// the engine's batched workers serve each dispatched chunk through
-// ServeBatch, so the run-coalescing amortization survives dispatch.
-func BenchmarkEngineBurst(b *testing.B) {
-	for _, c := range experiments.EngineBurstCases() {
-		c := c
-		if sub, ok := strings.CutPrefix(c.Name, "EngineBurst/"); ok {
-			b.Run(sub, func(b *testing.B) { experiments.EngineFleetBench(b, c) })
-		}
-	}
-}
-
-// BenchmarkTCChurn measures dynamic-topology serving: RandomMixed
-// traffic with one announce/withdraw mutation every rate operations
-// through a MutableTC (overlay absorption + amortized state-migrating
-// rebuilds). The grid is shared with the -bench-json recorder; the
-// in-process BenchmarkChurnMutation pair in internal/core is the
-// authoritative per-mutation sublinearity evidence.
-func BenchmarkTCChurn(b *testing.B) {
-	for _, c := range experiments.ChurnBenchCases() {
-		c := c
-		if sub, ok := strings.CutPrefix(c.Name, "TCChurn/"); ok {
-			b.Run(sub, func(b *testing.B) { experiments.ChurnBench(b, c) })
-		}
-	}
-}
-
-// BenchmarkEngineChurn measures fleet serving under topology churn:
-// ApplyTopology control messages interleaved with batches through the
-// shards' single-writer workers.
-func BenchmarkEngineChurn(b *testing.B) {
-	for _, c := range experiments.EngineChurnCases() {
-		c := c
-		if sub, ok := strings.CutPrefix(c.Name, "EngineChurn/"); ok {
-			b.Run(sub, func(b *testing.B) { experiments.EngineChurnBench(b, c) })
-		}
-	}
-}
+func BenchmarkTCStar(b *testing.B)         { benchGroup(b, "TCStar") }
+func BenchmarkTCPath(b *testing.B)         { benchGroup(b, "TCPath") }
+func BenchmarkTCBinary(b *testing.B)       { benchGroup(b, "TCBinary") }
+func BenchmarkTCWideFanout(b *testing.B)   { benchGroup(b, "TCWideFanout") }
+func BenchmarkTCCaterpillar(b *testing.B)  { benchGroup(b, "TCCaterpillar") }
+func BenchmarkTCDeepRandom(b *testing.B)   { benchGroup(b, "TCDeepRandom") }
+func BenchmarkTCBurst(b *testing.B)        { benchGroup(b, "TCBurst") }
+func BenchmarkTCBurstSeq(b *testing.B)     { benchGroup(b, "TCBurstSeq") }
+func BenchmarkEngineFleet(b *testing.B)    { benchGroup(b, "EngineFleet") }
+func BenchmarkDaemonLoopback(b *testing.B) { benchGroup(b, "DaemonLoopback") }
+func BenchmarkEngineBurst(b *testing.B)    { benchGroup(b, "EngineBurst") }
+func BenchmarkTCChurn(b *testing.B)        { benchGroup(b, "TCChurn") }
+func BenchmarkEngineChurn(b *testing.B)    { benchGroup(b, "EngineChurn") }
 
 // BenchmarkEagerLRU gives the baseline's throughput for comparison.
 func BenchmarkEagerLRU(b *testing.B) {

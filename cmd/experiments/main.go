@@ -8,7 +8,7 @@
 //	experiments -run all                    # run everything (few minutes)
 //	experiments -run e1,e4,e5               # run a subset
 //	experiments -run e7 -csv                # emit CSV instead of aligned tables
-//	experiments -bench-json BENCH_core.json # record TC microbenchmarks
+//	experiments -bench-json BENCH_core.json # record the benchmark table
 //	experiments -bench-json BENCH_core.json -bench-baseline
 //	                                        # record them as the baseline section
 //	experiments -bench-json out.json -bench-cpus 1,2
@@ -31,11 +31,11 @@ import (
 func main() {
 	runFlag := flag.String("run", "all", "comma-separated experiment ids (e1..e8) or 'all'")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	benchJSON := flag.String("bench-json", "", "run the TC microbenchmarks and merge the results into this JSON file, then exit")
+	benchJSON := flag.String("bench-json", "", "run the benchmark table (experiments.Benches) and merge the results into this JSON file, then exit")
 	benchBaseline := flag.Bool("bench-baseline", false, "with -bench-json, store results under the persistent 'baseline' section instead of 'current'")
 	benchCompare := flag.Bool("bench-compare", false, "compare two bench JSON files (args: old.json new.json) and print a per-benchmark delta table, then exit")
 	benchTolerance := flag.Float64("bench-tolerance", 30, "with -bench-compare, exit non-zero only when a benchmark's ns/op regressed by more than this percentage (matches the ±30% container drift; 0 disables the gate; values in (0,1] are read as fractions, so 0.3 == 30)")
-	benchCPUs := flag.String("bench-cpus", "", "with -bench-json, comma-separated GOMAXPROCS settings to sweep the rows that start goroutines (EngineFleet, EngineBurst, EngineChurn, DaemonLoopback) across (e.g. '1,2'); empty = ambient setting only")
+	benchCPUs := flag.String("bench-cpus", "", "with -bench-json, comma-separated GOMAXPROCS settings to sweep the rows that start goroutines (the engine and daemon rows) across (e.g. '1,2'); empty = ambient setting only")
 	flag.Parse()
 
 	cpus, err := parseCPUList(*benchCPUs)
@@ -49,11 +49,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: experiments -bench-compare [-bench-tolerance pct] old.json new.json")
 			os.Exit(2)
 		}
-		tol := *benchTolerance
-		if tol > 0 && tol <= 1 {
-			tol *= 100
-		}
-		if err := compareBenchJSON(flag.Arg(0), flag.Arg(1), tol); err != nil {
+		if err := compareBenchJSON(os.Stdout, flag.Arg(0), flag.Arg(1), *benchTolerance); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

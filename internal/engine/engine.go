@@ -292,11 +292,6 @@ type Engine struct {
 	// shard channels, so a send can never hit a closed channel.
 	mu     sync.RWMutex
 	closed bool
-	// notReady inverts the readiness gate so the zero value is ready:
-	// an in-process engine is serving as soon as New returns. A daemon
-	// wrapping the engine flips it while restoring state at startup and
-	// again when graceful drain begins, which is what /readyz reports.
-	notReady atomic.Bool
 }
 
 // ErrClosed is returned by submissions after (or racing) Close.
@@ -366,24 +361,6 @@ func New(cfg Config) *Engine {
 
 // Shards returns the number of shards.
 func (e *Engine) Shards() int { return len(e.shards) }
-
-// SetReady flips the readiness gate reported by Ready and the /readyz
-// endpoint. Engines start ready; a wrapping daemon marks itself not
-// ready while restoring persisted state and when graceful drain
-// begins, so load balancers stop routing before the listener goes
-// away. Readiness is advisory: it never blocks submissions.
-func (e *Engine) SetReady(ready bool) { e.notReady.Store(!ready) }
-
-// Ready reports whether the engine is accepting traffic: readiness has
-// not been withdrawn via SetReady and Close has not begun.
-func (e *Engine) Ready() bool {
-	if e.notReady.Load() {
-		return false
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return !e.closed
-}
 
 // Supervised reports whether shard i runs under panic supervision.
 func (e *Engine) Supervised(i int) bool { return e.shards[i].sup != nil }
@@ -777,19 +754,21 @@ func (s *shard) runBatch(batch trace.Trace, w *counters) {
 	}
 }
 
-// runMuts applies a topology control message one mutation at a time —
-// a rejected mutation drops only the rest of its own message — and
-// returns how many applied and how many were dropped. Shared by normal
-// serving and journal replay (replay discards the counts: they were
-// committed when the message was first served).
-func (s *shard) runMuts(muts []trace.Mutation) (ok, errs int64) {
+// ApplyMutations applies a topology control message to t one mutation
+// at a time and returns how many applied and how many were dropped: the
+// first rejected mutation drops the rest of its own message. It is the
+// one mutation-application rule, shared by shard workers, journal
+// replay (which discards the counts: they were committed when the
+// message was first served) and a daemon's write-ahead-log replay, so a
+// replayed stream reproduces exactly what the live engine did.
+func ApplyMutations(t TopologyServer, muts []trace.Mutation) (applied, dropped int64) {
 	for i := range muts {
-		if err := s.topo.ApplyTopology(muts[i : i+1]); err != nil {
-			return ok, int64(len(muts) - i)
+		if err := t.ApplyTopology(muts[i : i+1]); err != nil {
+			return applied, int64(len(muts) - i)
 		}
-		ok++
+		applied++
 	}
-	return ok, 0
+	return applied, 0
 }
 
 // serveMuts applies a topology control message, under supervision when
@@ -798,7 +777,7 @@ func (s *shard) runMuts(muts []trace.Mutation) (ok, errs int64) {
 // retry never double-counts.
 func (e *Engine) serveMuts(s *shard, w *counters, msg message) {
 	if s.sup == nil {
-		ok, errs := s.runMuts(msg.muts)
+		ok, errs := ApplyMutations(s.topo, msg.muts)
 		w.topoOK += ok
 		w.topoErrs += errs
 		return
@@ -857,7 +836,7 @@ func (s *shard) attempt(msg message, w *counters) (ok, errs int64, panicked bool
 		}
 	}()
 	if msg.muts != nil {
-		ok, errs = s.runMuts(msg.muts)
+		ok, errs = ApplyMutations(s.topo, msg.muts)
 		return ok, errs, false
 	}
 	s.runBatch(msg.batch, w)
@@ -876,7 +855,7 @@ func (sup *supervisor) recover(s *shard, w *counters) {
 	}
 	for _, m := range sup.journal {
 		if m.muts != nil {
-			s.runMuts(m.muts)
+			ApplyMutations(s.topo, m.muts)
 			continue
 		}
 		s.runBatch(m.batch, w)

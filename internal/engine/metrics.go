@@ -43,10 +43,6 @@ func (e *Engine) MetricsHandler() http.Handler {
 //     serving or can still drain, 503 only once Closed. Liveness stays
 //     green through drain so an orchestrator does not kill a daemon
 //     that is flushing its queues.
-//   - /readyz — readiness: 200 only while Ready() — readiness not
-//     withdrawn via SetReady (a daemon withdraws it while restoring
-//     state at startup and for the whole graceful drain) and the
-//     engine not closed. Load balancers route on this one.
 func (e *Engine) MetricsMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", e.MetricsHandler())
@@ -56,14 +52,6 @@ func (e *Engine) MetricsMux() *http.ServeMux {
 		e.mu.RUnlock()
 		if closed {
 			http.Error(w, "closed", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !e.Ready() {
-			http.Error(w, "not ready", http.StatusServiceUnavailable)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

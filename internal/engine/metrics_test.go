@@ -151,11 +151,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestHealthReadinessSplit pins the liveness/readiness contract of the
-// admin endpoints across every transition a daemon drives: /healthz is
-// liveness (green until Close), /readyz is readiness (green only while
-// ready and open — withdrawn during startup restore and graceful
-// drain, and permanently after Close).
+// TestHealthReadinessSplit pins the engine's liveness contract:
+// /healthz is green while the engine is open — through serving and a
+// drain — and red once Closed. Readiness is the daemon's own gate
+// (internal/server), not the engine's.
 func TestHealthReadinessSplit(t *testing.T) {
 	tr := tree.CompleteKary(15, 2)
 	e := New(Config{
@@ -165,56 +164,21 @@ func TestHealthReadinessSplit(t *testing.T) {
 		},
 	})
 
-	check := func(stage string, wantHealth, wantReady int) {
+	check := func(stage string, want int) {
 		t.Helper()
-		if _, code := scrape(e, "/healthz"); code != wantHealth {
-			t.Fatalf("%s: /healthz = %d, want %d", stage, code, wantHealth)
-		}
-		if _, code := scrape(e, "/readyz"); code != wantReady {
-			t.Fatalf("%s: /readyz = %d, want %d", stage, code, wantReady)
+		if _, code := scrape(e, "/healthz"); code != want {
+			t.Fatalf("%s: /healthz = %d, want %d", stage, code, want)
 		}
 	}
 
-	// Fresh engine: both green (the zero readiness value is ready, so
-	// in-process users need no extra call).
-	check("fresh", 200, 200)
-	if !e.Ready() {
-		t.Fatal("fresh engine not Ready()")
-	}
-
-	// Startup restore in a daemon: readiness withdrawn, liveness green.
-	e.SetReady(false)
-	check("restoring", 200, 503)
-	if e.Ready() {
-		t.Fatal("Ready() true after SetReady(false)")
-	}
-
-	// Restore finished: readiness restored; serving proves it.
-	e.SetReady(true)
-	check("restored", 200, 200)
+	check("fresh", 200)
 	if err := e.Submit(0, trace.Trace{trace.Pos(3), trace.Neg(1)}); err != nil {
 		t.Fatal(err)
 	}
 	e.Drain()
-
-	// Graceful drain begins: readiness withdrawn while the engine is
-	// still fully able to serve (liveness green, submissions accepted).
-	e.SetReady(false)
-	check("draining", 200, 503)
-	if err := e.Submit(0, trace.Trace{trace.Pos(2)}); err != nil {
-		t.Fatalf("submission during drain: %v", err)
-	}
-	e.Drain()
-
-	// Closed: both red, and re-asserting readiness cannot resurrect a
-	// closed engine.
+	check("drained", 200)
 	e.Close()
-	check("closed", 503, 503)
-	e.SetReady(true)
-	check("closed+SetReady", 503, 503)
-	if e.Ready() {
-		t.Fatal("Ready() true on a closed engine")
-	}
+	check("closed", 503)
 }
 
 // TestStatsFleetMaxima pins the fleet aggregation of the per-shard

@@ -370,9 +370,14 @@ func TestServerWireSemantics(t *testing.T) {
 		t.Fatalf("deadline submit returned in %v, should have waited ~20ms", waited)
 	}
 
-	// Un-stall; the shed seq 3 now goes through.
+	// Un-stall; the shed seq 3 now goes through. From here on the
+	// 1-slot queue frees only when the worker dequeues, so the serves
+	// carry a deadline and wait for the slot instead of racing the
+	// worker into an overload retry.
 	inj.Release()
-	f = rawDo(t, conn, wire.TServe, wire.Serve{Tenant: 0, Seq: 3, Batch: batch}.Encode())
+	f = rawDo(t, conn, wire.TServe, wire.Serve{
+		Tenant: 0, Seq: 3, DeadlineNs: int64(2 * time.Second), Batch: batch,
+	}.Encode())
 	if f.Type != wire.TAck {
 		t.Fatalf("seq 3 after release: %v, want ack", f.Type)
 	}
@@ -399,7 +404,9 @@ func TestServerWireSemantics(t *testing.T) {
 	if f = rawDo(t, conn, wire.TServe, []byte{0xff}); f.Type != wire.TError {
 		t.Fatalf("truncated payload: %v, want error", f.Type)
 	}
-	if f = rawDo(t, conn, wire.TServe, wire.Serve{Tenant: 0, Seq: 4, Batch: batch}.Encode()); f.Type != wire.TAck {
+	if f = rawDo(t, conn, wire.TServe, wire.Serve{
+		Tenant: 0, Seq: 4, DeadlineNs: int64(2 * time.Second), Batch: batch,
+	}.Encode()); f.Type != wire.TAck {
 		t.Fatalf("after payload error: %v, want ack (connection must survive)", f.Type)
 	}
 

@@ -13,9 +13,9 @@ import (
 // per shard (shard == tenant), matching the engine's label scheme.
 func (s *Server) writeWALMetrics(w io.Writer) {
 	x := metrics.NewWriter(w)
-	x.Header("treecache_checkpoints_total", "counter",
+	x.Header("treecache_durable_checkpoints_total", "counter",
 		"Durably committed checkpoints since boot (each truncates the WALs).")
-	x.Int("treecache_checkpoints_total", nil, s.ckpts.Load())
+	x.Int("treecache_durable_checkpoints_total", nil, s.ckpts.Load())
 	if s.wals == nil {
 		return
 	}

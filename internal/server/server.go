@@ -115,10 +115,9 @@ type Config struct {
 	// Alpha and Capacity configure every shard's algorithm.
 	Alpha    int64
 	Capacity int
-	// QueueLen, Parallelism and CheckpointEvery tune the wrapped
-	// engine; see engine.Config.
+	// QueueLen and CheckpointEvery tune the wrapped engine; see
+	// engine.Config.
 	QueueLen        int
-	Parallelism     int
 	CheckpointEvery int
 	// Quota is the per-tenant admission quota; zero Rate disables.
 	Quota QuotaConfig
@@ -284,7 +283,6 @@ func (s *Server) Start() error {
 		s.ckptDone = make(chan struct{})
 		go s.checkpointLoop()
 	}
-	s.engine().SetReady(true)
 	s.ready.Store(true)
 	return nil
 }
@@ -360,11 +358,8 @@ func (s *Server) restore() error {
 		Shards:          shards,
 		NewShard:        func(i int) engine.Algorithm { return s.algos[i] },
 		QueueLen:        s.cfg.QueueLen,
-		Parallelism:     s.cfg.Parallelism,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 	})
-	// Not ready until the wire listener is up; /readyz stays 503.
-	eng.SetReady(false)
 	s.eng.Store(eng)
 	return nil
 }
@@ -373,10 +368,8 @@ func (s *Server) restore() error {
 // restored state. Records at or below lastSeq were already covered by
 // the checkpoint and are skipped; the remainder must continue the
 // sequence gaplessly (the WAL is written in admission order, and
-// recovery only ever truncates its tail). Topology messages mirror the
-// engine's runMuts semantics: mutations apply one at a time and the
-// first failure drops the rest of that message — so a replayed stream
-// reproduces exactly what the live engine did.
+// recovery only ever truncates its tail). Topology messages go through
+// engine.ApplyMutations, the rule the live engine applied them with.
 func replayWAL(mtc *core.MutableTC, tenant int, recs [][]byte, lastSeq uint64) (applied int64, newLast uint64, err error) {
 	for n, rec := range recs {
 		if len(rec) < 1 {
@@ -416,11 +409,7 @@ func replayWAL(mtc *core.MutableTC, tenant int, recs [][]byte, lastSeq uint64) (
 		case walRecServe:
 			mtc.ServeBatch(serve.Batch)
 		case walRecTopo:
-			for i := range topo.Muts {
-				if mtc.ApplyTopology(topo.Muts[i:i+1]) != nil {
-					break
-				}
-			}
+			engine.ApplyMutations(mtc, topo.Muts)
 		}
 		lastSeq = seq
 		applied++
@@ -486,8 +475,7 @@ func (s *Server) adminMux() *http.ServeMux {
 		w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		eng := s.engine()
-		if !s.ready.Load() || eng == nil || !eng.Ready() {
+		if !s.ready.Load() {
 			http.Error(w, "not ready", http.StatusServiceUnavailable)
 			return
 		}
@@ -506,9 +494,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		s.draining.Store(true)
 		s.ready.Store(false)
-		if eng := s.engine(); eng != nil {
-			eng.SetReady(false)
-		}
 		if s.ckptStop != nil {
 			close(s.ckptStop)
 			<-s.ckptDone

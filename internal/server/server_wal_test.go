@@ -16,6 +16,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -314,22 +315,13 @@ func TestServerWALMetricsAndReadyz(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + srv.AdminAddr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
-	if code, _ := get("/readyz"); code != http.StatusOK {
+	if code, _ := adminGet(t, srv, "/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz after start: %d", code)
 	}
-	if code, _ := get("/healthz"); code != http.StatusOK {
+	if code, _ := adminGet(t, srv, "/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz: %d", code)
 	}
-	code, body := get("/metrics")
+	code, body := adminGet(t, srv, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
 	}
@@ -338,8 +330,9 @@ func TestServerWALMetricsAndReadyz(t *testing.T) {
 		"treecache_wal_fsyncs_total",
 		"treecache_wal_fsync_latency_ns_bucket",
 		"treecache_wal_replayed_records",
-		"treecache_checkpoints_total",
-		"treecache_serve_cost_total", // engine families still present
+		"treecache_durable_checkpoints_total",
+		"treecache_checkpoints_total{", // the engine's per-shard supervision family
+		"treecache_serve_cost_total",   // engine families still present
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("/metrics missing %q", family)
@@ -350,9 +343,59 @@ func TestServerWALMetricsAndReadyz(t *testing.T) {
 	}
 }
 
+// TestServerMetricsFamiliesUnique: the daemon's /metrics concatenates
+// the engine's exposition and its own durability families, and a
+// Prometheus text parser rejects a second # HELP or # TYPE line for one
+// family — failing the whole scrape. Every family must be declared
+// exactly once with the WAL on.
+func TestServerMetricsFamiliesUnique(t *testing.T) {
+	addr := reserveAddr(t)
+	cfg := walServerConfig(addr, t.TempDir())
+	cfg.AdminAddr = "127.0.0.1:0"
+	srv := startServer(t, cfg)
+	defer shutdownServer(t, srv)
+
+	cl := client.New(client.Config{Addr: addr, Seed: 52})
+	defer cl.Close()
+	if err := cl.Serve(0, walTestBatches(1, 8)[0]); err != nil {
+		t.Fatal(err)
+	}
+	code, body := adminGet(t, srv, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
+	seen := map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && (f[1] == "HELP" || f[1] == "TYPE") {
+			seen[f[1]+" "+f[2]]++
+		}
+	}
+	if seen["TYPE treecache_wal_records_total"] == 0 || seen["TYPE treecache_serve_cost_total"] == 0 {
+		t.Fatalf("scrape lacks the WAL or engine families:\n%s", body)
+	}
+	for decl, n := range seen {
+		if n != 1 {
+			t.Errorf("# %s declared %d times", decl, n)
+		}
+	}
+}
+
+// adminGet fetches one admin-plane path from a started daemon.
+func adminGet(t *testing.T, srv *server.Server, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + srv.AdminAddr() + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body)
+}
+
 // TestServerWALTopologyRecovery: topology mutations ride the WAL too —
-// a killed daemon recovers its mutated tree, and replayed mutation
-// streams mirror the engine's first-error-drops-the-rest semantics.
+// a killed daemon recovers its mutated tree, and replay applies a
+// topology frame with the live engine's rule (engine.ApplyMutations):
+// the first rejected mutation drops the rest of its frame.
 func TestServerWALTopologyRecovery(t *testing.T) {
 	addr := reserveAddr(t)
 	dir := t.TempDir()
@@ -365,13 +408,23 @@ func TestServerWALTopologyRecovery(t *testing.T) {
 	if err := cl.Serve(0, batches[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Attach a fresh leaf under the root, then serve it.
-	mut := trace.InsertMut(63, 0)
-	if err := cl.ApplyTopology(0, []trace.Mutation{mut}); err != nil {
+	// One frame: attach a fresh leaf under the root (valid), withdraw
+	// a node that never existed (invalid), attach another leaf (valid,
+	// but dropped with the rest of the frame).
+	muts := []trace.Mutation{trace.InsertMut(63, 0), trace.DeleteMut(1000), trace.InsertMut(64, 0)}
+	if err := cl.ApplyTopology(0, muts); err != nil {
 		t.Fatal(err)
 	}
 	leafReq := trace.Trace{trace.Pos(63), trace.Pos(63)}
 	if err := cl.Serve(0, leafReq); err != nil {
+		t.Fatal(err)
+	}
+	srv.Engine().Drain()
+	if st := srv.Engine().Stats(); st.TopoApplied != 1 || st.TopoErrs != 2 {
+		t.Fatalf("live daemon applied %d and dropped %d mutations, want 1 and 2", st.TopoApplied, st.TopoErrs)
+	}
+	preKill, err := cl.Stats(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
@@ -388,14 +441,19 @@ func TestServerWALTopologyRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Oracle: same stream sequentially.
+	if reply.LastSeq != preKill.LastSeq || reply.Rounds != preKill.Rounds || reply.Serve != preKill.Serve ||
+		reply.Move != preKill.Move || reply.Fetched != preKill.Fetched || reply.Evicted != preKill.Evicted {
+		t.Fatalf("recovered ledger %+v != pre-kill %+v", reply, preKill)
+	}
+	// Oracle: same stream sequentially, the frame cut at its first
+	// rejected mutation.
 	ref := core.NewMutable(walTestTree(), core.MutableConfig{
 		Config: core.Config{Alpha: 4, Capacity: 16},
 	})
 	for _, r := range batches[0] {
 		ref.Serve(r)
 	}
-	if err := ref.ApplyTopology([]trace.Mutation{mut}); err != nil {
+	if err := ref.ApplyTopology(muts[:1]); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range leafReq {
@@ -412,6 +470,12 @@ func TestServerWALTopologyRecovery(t *testing.T) {
 	}
 	if err := cl2.Serve(0, trace.Trace{trace.Pos(63)}); err != nil {
 		t.Fatalf("serve on recovered topology: %v", err)
+	}
+	// Stable ids are sequential, so the next one shows how many
+	// insertions replay applied: 63 only, never the dropped 64.
+	shutdownServer(t, srv2)
+	if next := srv2.Algorithm(0).(snapshot.Checkpointed).Dyn().NextID(); next != 64 {
+		t.Fatalf("recovered next stable id %d, want 64", next)
 	}
 }
 
