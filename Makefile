@@ -37,7 +37,7 @@ crash-drill: build
 # cannot rot; real perf deltas come from
 # `experiments -bench-compare old.json new.json`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTC|BenchmarkEngine|BenchmarkDaemon' -benchtime 100x -benchmem -cpu 1,2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkTC|BenchmarkEngine|BenchmarkDaemon|BenchmarkCheckpoint' -benchtime 100x -benchmem -cpu 1,2 .
 
 # bench-compare gates a perf PR mechanically: record OLD=... from the
 # base commit and NEW=... from the candidate (both via

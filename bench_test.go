@@ -58,6 +58,7 @@ func BenchmarkDaemonLoopback(b *testing.B) { benchGroup(b, "DaemonLoopback") }
 func BenchmarkEngineBurst(b *testing.B)    { benchGroup(b, "EngineBurst") }
 func BenchmarkTCChurn(b *testing.B)        { benchGroup(b, "TCChurn") }
 func BenchmarkEngineChurn(b *testing.B)    { benchGroup(b, "EngineChurn") }
+func BenchmarkCheckpoint(b *testing.B)     { benchGroup(b, "Checkpoint") }
 
 // BenchmarkEagerLRU gives the baseline's throughput for comparison.
 func BenchmarkEagerLRU(b *testing.B) {

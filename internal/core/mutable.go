@@ -389,13 +389,15 @@ type MutableTC struct {
 
 	// Scratch, persistent across operations.
 	dbuf    trace.Trace   // dense-id request buffer of ServeBatch
-	cntS    []int64       // migration: counter by stable id
-	cachedS []bool        // migration: cached flag by stable id
+	cntH    []int64       // counter sweep output by heavy slot
+	cntS    []int64       // migration: counter by stable id (live ids only)
+	cachedS []bool        // migration: cached flag by stable id (live ids only)
 	cntP    []int64       // injection: cnt(P(v)) by dense id
 	szP     []int32       // injection: |P(v)| by dense id
 	hAv     []int64       // injection: hA by dense id
 	hBv     []int64       // injection: hB by dense id
 	memBuf  []tree.NodeID // member scratch
+	state   MutableState  // ExportState's result, reused across captures
 }
 
 // NewMutable returns a dynamic-topology TC over initial topology t.
@@ -951,34 +953,27 @@ func (m *MutableTC) Rebuild() {
 }
 
 // flushState extracts the logical state — counter and cached flag of
-// every live node — into the stable-id-indexed migration buffers.
+// every live node — into the stable-id-indexed migration buffers, from
+// one counter sweep over the snapshot plus the overlay records. Only
+// live ids' entries are written (and read): the cost is independent of
+// how many ids were ever withdrawn, and the buffers grow geometrically
+// with the id space.
 func (m *MutableTC) flushState() {
 	ids := m.dyn.NumIDs()
-	// Guard every buffer's capacity independently: appends and make()
-	// round to per-element-size size classes, so same-length slices of
-	// different element types do not share a capacity.
-	if cap(m.cntS) < ids {
-		m.cntS = make([]int64, ids)
-	}
-	if cap(m.cachedS) < ids {
-		m.cachedS = make([]bool, ids)
-	}
-	m.cntS = m.cntS[:ids]
-	m.cachedS = m.cachedS[:ids]
+	m.cntS = resize(m.cntS, ids)
+	m.cachedS = resize(m.cachedS, ids)
 	a := m.tc
-	for s := 0; s < ids; s++ {
-		sv := tree.NodeID(s)
-		if !m.dyn.Live(sv) {
-			m.cntS[s], m.cachedS[s] = 0, false
-			continue
+	cnt := m.sweepCounters()
+	for g := 0; g < a.t.Len(); g++ {
+		v := tree.NodeID(g)
+		if s := m.dyn.Stable(v); m.dyn.Live(s) {
+			m.cntS[s] = cnt[a.t.HeavySlot(v)]
+			m.cachedS[s] = a.cache.Contains(v)
 		}
-		if g := m.dyn.Dense(sv); g != tree.None {
-			m.cntS[s] = a.Counter(g)
-			m.cachedS[s] = a.cache.Contains(g)
-		} else {
-			l := &a.ov.leaves[a.ov.idx[sv]]
-			m.cntS[s] = l.cnt
-			m.cachedS[s] = l.cached
+	}
+	for i := range a.ov.leaves {
+		if l := &a.ov.leaves[i]; !l.dead {
+			m.cntS[l.node], m.cachedS[l.node] = l.cnt, l.cached
 		}
 	}
 }

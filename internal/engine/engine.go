@@ -181,11 +181,15 @@ type ShardStats struct {
 	// Supervision counters (zero on unsupervised shards): Restarts
 	// counts recovered panics, Checkpoints accepted state captures,
 	// CkptErrs failed or verification-rejected captures, and Dropped
-	// whole messages abandoned after exhausting panic retries.
+	// whole messages abandoned after exhausting panic retries. CkptNs
+	// is the total wall time spent capturing and verifying checkpoints
+	// (accepted or not), CkptBytes the size of the last accepted one.
 	Restarts    int64
 	Checkpoints int64
 	CkptErrs    int64
 	Dropped     int64
+	CkptNs      int64
+	CkptBytes   int64
 	// Latency is the shard's per-request service-latency histogram:
 	// each served batch records its amortized per-request latency
 	// (batch wall time / batch size) with weight = batch size, so
@@ -216,6 +220,7 @@ type Stats struct {
 	Checkpoints int64
 	CkptErrs    int64
 	Dropped     int64
+	CkptNs      int64
 	// Fleet-wide maxima over the per-shard maxima (not sums: a peak
 	// does not add across shards).
 	MaxCache int   // largest per-shard peak cache occupancy
@@ -259,6 +264,7 @@ type counters struct {
 	topoOK, topoErrs                  int64
 	restarts, checkpoints, ckptErrs   int64
 	dropped                           int64
+	ckptNs, ckptBytes                 int64
 	maxCache                          int
 	lat                               metrics.Histogram
 }
@@ -469,9 +475,12 @@ func (e *Engine) putBatchBuf(box *trace.Trace, batch trace.Trace) {
 // ApplyTopology enqueues a topology-mutation control message for one
 // shard: the mutations are applied by the shard's single-writer worker
 // after every batch submitted before this call and before every batch
-// submitted after it. The slice is retained until applied; application
-// errors are counted in the shard's stats (TopoErrs), not returned
-// here. The shard's algorithm must implement TopologyServer.
+// submitted after it. The slice is retained until applied — until the
+// next Drain on supervised shards, whose recovery journal replays it
+// after a fault — so, as with Submit, callers must not mutate it
+// before the next Drain. Application errors are counted in the shard's
+// stats (TopoErrs), not returned here. The shard's algorithm must
+// implement TopologyServer.
 func (e *Engine) ApplyTopology(shard int, muts []trace.Mutation) error {
 	if shard < 0 || shard >= len(e.shards) {
 		return fmt.Errorf("engine: shard %d out of range [0,%d)", shard, len(e.shards))
@@ -571,8 +580,11 @@ func (e *Engine) SubmitMulti(mt trace.MultiTrace, batchLen int) error {
 // by this Drain. Stats read after Drain are exact for the drained
 // work. Supervised shards take a checkpoint at the drain point (when
 // work arrived since the last one), so drained caller-owned batches
-// are released from the recovery journal. Draining a closed engine is
-// a no-op.
+// are released from the recovery journal; when that capture is
+// rejected the journal keeps engine-owned copies instead. Either way
+// every batch and mutation slice submitted before the call is the
+// caller's again once Drain returns. Draining a closed engine is a
+// no-op.
 func (e *Engine) Drain() {
 	acks := make(chan struct{}, len(e.shards))
 	e.mu.RLock()
@@ -635,6 +647,7 @@ func (e *Engine) Stats() Stats {
 		st.Checkpoints += ss.Checkpoints
 		st.CkptErrs += ss.CkptErrs
 		st.Dropped += ss.Dropped
+		st.CkptNs += ss.CkptNs
 		// Maxima aggregate as maxima, not sums.
 		if ss.MaxCache > st.MaxCache {
 			st.MaxCache = ss.MaxCache
@@ -663,9 +676,13 @@ func (e *Engine) worker(s *shard) {
 			if s.sup != nil && len(s.sup.journal) > 0 {
 				// Drain is a consistency point: checkpointing here
 				// releases the drained (possibly caller-owned) batches
-				// from the journal.
+				// from the journal. Drain hands that memory back to the
+				// caller either way, so a rejected capture leaves
+				// engine-owned copies in the journal instead.
 				if s.sup.capture(&w) {
 					e.recycleJournal(s.sup)
+				} else {
+					s.sup.ownJournal()
 				}
 				s.publish(&w)
 			}
@@ -866,18 +883,38 @@ func (sup *supervisor) recover(s *shard, w *counters) {
 // success the blob becomes the shard's recovery point; on failure
 // (Snapshot error or verification reject) the previous checkpoint
 // stays in force and the journal keeps growing, counted in CkptErrs.
+// Capture plus verification is timed with two clock reads.
 func (sup *supervisor) capture(w *counters) bool {
+	start := time.Now()
 	blob, err := sup.ck.Snapshot()
 	if err == nil && sup.verify != nil {
 		err = sup.verify(blob)
 	}
+	w.ckptNs += time.Since(start).Nanoseconds()
 	if err != nil {
 		w.ckptErrs++
 		return false
 	}
 	sup.ckpt = blob
 	w.checkpoints++
+	w.ckptBytes = int64(len(blob))
 	return true
+}
+
+// ownJournal replaces the journal's references to caller-owned memory
+// — batches enqueued without a pooled buffer, and topology slices —
+// with engine-owned copies. A copied batch gets a buffer box, so it is
+// copied once and later recycles onto the free list.
+func (sup *supervisor) ownJournal() {
+	for i := range sup.journal {
+		m := &sup.journal[i]
+		if m.muts != nil {
+			m.muts = append([]trace.Mutation(nil), m.muts...)
+		} else if m.box == nil {
+			b := append(trace.Trace(nil), m.batch...)
+			m.batch, m.box = b, &b
+		}
+	}
 }
 
 // recycleJournal releases the journal after an accepted capture: the
@@ -914,6 +951,8 @@ func (s *shard) publish(w *counters) {
 		Checkpoints: w.checkpoints,
 		CkptErrs:    w.ckptErrs,
 		Dropped:     w.dropped,
+		CkptNs:      w.ckptNs,
+		CkptBytes:   w.ckptBytes,
 		Latency:     w.lat,
 	})
 }

@@ -117,6 +117,8 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 		func(s ShardStats) int64 { return s.CkptErrs })
 	counter("treecache_dropped_total", "Messages dropped after exhausting panic retries.",
 		func(s ShardStats) int64 { return s.Dropped })
+	counter("treecache_checkpoint_ns_total", "Wall time spent capturing and verifying supervision checkpoints, nanoseconds.",
+		func(s ShardStats) int64 { return s.CkptNs })
 
 	gauge("treecache_queue_depth", "Shard queue occupancy at scrape time.",
 		func(s ShardStats) int64 { return int64(s.QueueDepth) })
@@ -124,6 +126,8 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 		func(s ShardStats) int64 { return int64(s.MaxCache) })
 	gauge("treecache_batch_max_ns", "Slowest single batch, nanoseconds.",
 		func(s ShardStats) int64 { return s.MaxBatch })
+	gauge("treecache_checkpoint_bytes", "Size of the last accepted supervision checkpoint, bytes.",
+		func(s ShardStats) int64 { return s.CkptBytes })
 
 	x.Header("treecache_request_latency_ns", "histogram",
 		"Amortized per-request service latency (batch wall time / batch size), request-weighted.")

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -54,7 +55,8 @@ func parseExposition(t *testing.T, body string) map[string]float64 {
 // TestMetricsEndpoint boots a fleet with ratio monitors, serves a
 // workload, and asserts the scrape exposes per-shard latency
 // histograms with p50/p99/p999 series, the queue/topology/restart
-// gauges, and the live competitive-ratio gauge — all parsing as
+// gauges, the live competitive-ratio gauge and the checkpoint cost of
+// the supervised shard (1; shard 0 runs unsupervised) — all parsing as
 // Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	const shards = 2
@@ -69,7 +71,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	e := New(Config{
 		Shards: shards,
 		NewShard: func(i int) Algorithm {
-			return core.NewMutable(trees[i], core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 5}})
+			m := core.NewMutable(trees[i], core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 5}})
+			if i == 1 {
+				return snapshot.Checkpointed{MutableTC: m}
+			}
+			return m
 		},
 		RatioMonitors: monitors,
 	})
@@ -111,6 +117,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			"treecache_request_latency_ns_count", "treecache_request_latency_ns_sum",
 			"treecache_competitive_ratio", "treecache_competitive_ratio_worst",
 			"treecache_ratio_windows_total",
+			"treecache_checkpoint_ns_total", "treecache_checkpoint_bytes",
 		} {
 			if _, ok := samples[name+lbl]; !ok {
 				t.Fatalf("missing series %s%s\n%s", name, lbl, body)
@@ -121,6 +128,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		if got := samples["treecache_request_latency_ns_count"+lbl]; got != 2048 {
 			t.Fatalf("shard %d latency count = %v, want 2048 (request-weighted)", s, got)
+		}
+		// The supervised shard checkpointed at construction and at the
+		// Drain point; the unsupervised one never does.
+		ns, size := samples["treecache_checkpoint_ns_total"+lbl], samples["treecache_checkpoint_bytes"+lbl]
+		if supervised := s == 1; supervised != (ns > 0) || supervised != (size > 0) {
+			t.Fatalf("shard %d (supervised %v): checkpoint_ns_total = %v, checkpoint_bytes = %v", s, supervised, ns, size)
 		}
 		if ratio := samples["treecache_competitive_ratio"+lbl]; ratio <= 0 {
 			t.Fatalf("shard %d competitive ratio = %v, want > 0", s, ratio)

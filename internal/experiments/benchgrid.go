@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -81,6 +82,13 @@ func Benches() []Bench {
 		{Name: "TCChurn/rate=1", Run: churnBench(1)},
 		{Name: "TCChurn/rate=16", Run: churnBench(16)},
 		{Name: "TCChurn/rate=256", Run: churnBench(256)},
+
+		// One supervision checkpoint (Snapshot + VerifySnapshot, as the
+		// engine takes it) of the same algorithm state, with and
+		// without 65,536 withdrawn ids in the id space: the pair
+		// prices what a capture pays for ids that no longer exist.
+		{Name: "Checkpoint/withdrawn=0", Run: checkpointBench(0)},
+		{Name: "Checkpoint/withdrawn=65536", Run: checkpointBench(1 << 16)},
 
 		// The sharded engine: 4 shards with one ApplyTopology message
 		// (one mutation per 16 requests) between a shard's batches;
@@ -215,6 +223,43 @@ func churnBench(rate int) func(*testing.B) {
 			}
 			m.Serve(input[i&(1<<16-1)])
 		}
+	}
+}
+
+// checkpointBench times one Snapshot + VerifySnapshot per op of a
+// MutableTC over benchTree. The instance first announces and withdraws
+// withdrawn leaves (the churn rows' schedule) and rebuilds, which grows
+// only its id space and epoch, then serves a RandomMixed trace, so both
+// rows capture the same algorithm state. The blob size is reported as
+// blob-B, the yardstick for B/op.
+func checkpointBench(withdrawn int) func(*testing.B) {
+	return func(b *testing.B) {
+		t := benchTree()
+		m := core.NewMutable(t, core.MutableConfig{Config: core.Config{Alpha: 8, Capacity: t.Len() / 2}})
+		cm := newChurnMutator(t)
+		for i := 0; i < 2*withdrawn; i++ {
+			if err := m.Apply(cm.mutation()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.Rebuild()
+		for _, req := range trace.RandomMixed(rand.New(rand.NewSource(1)), t, 1<<16) {
+			m.Serve(req)
+		}
+		ck := snapshot.Checkpointed{MutableTC: m}
+		var blob []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if blob, err = ck.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			if err := ck.VerifySnapshot(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(blob)), "blob-B")
 	}
 }
 

@@ -308,6 +308,55 @@ func TestChaosDifferentialChurn(t *testing.T) {
 	}
 }
 
+// TestChaosRejectedDrainCheckpoint: Drain hands every batch submitted
+// before it back to the caller, even when the drain-point capture is
+// rejected and the batch stays in the recovery journal. A later fault
+// must then replay what was served, not what the caller has since
+// written into the slice.
+func TestChaosRejectedDrainCheckpoint(t *testing.T) {
+	base := tree.CompleteKary(63, 2)
+	cfg := core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 16}}
+	inj := faultinject.NewInjector()
+	inj.Arm(faultinject.Checkpoint, 2) // capture 1 is the initial checkpoint, 2 the Drain's
+	eng := engine.New(engine.Config{
+		Shards: 1,
+		NewShard: func(int) engine.Algorithm {
+			m := core.NewMutable(base, cfg)
+			return faultinject.Wrap(snapshot.Checkpointed{MutableTC: m}, inj)
+		},
+	})
+	defer eng.Close()
+
+	rng := rand.New(rand.NewSource(41))
+	seq := core.NewMutable(base, cfg)
+	batch := randTrace(rng, base.Len(), 200)
+	seq.ServeBatch(batch)
+	if err := eng.Submit(0, batch); err != nil {
+		t.Fatal(err)
+	}
+	eng.Drain()
+	if st := eng.Stats(); st.CkptErrs != 1 || st.Checkpoints != 1 {
+		t.Fatalf("checkpoints %d, rejected %d: want the drain capture rejected after the initial one", st.Checkpoints, st.CkptErrs)
+	}
+
+	// The batch is the caller's again: reuse it for different traffic
+	// and serve it once more, with a mid-batch fault forcing a restore
+	// from the initial checkpoint and a replay of the journal.
+	copy(batch, randTrace(rng, base.Len(), len(batch)))
+	seq.ServeBatch(batch)
+	inj.Arm(faultinject.ServeRequest, 10)
+	if err := eng.Submit(0, batch); err != nil {
+		t.Fatal(err)
+	}
+	eng.Drain()
+	if st := eng.Stats(); st.Restarts != 1 || st.Dropped != 0 {
+		t.Fatalf("restarts %d dropped %d, want 1/0", st.Restarts, st.Dropped)
+	}
+	if got, want := unwrap(t, eng.Algorithm(0)).Ledger(), seq.Ledger(); got != want {
+		t.Fatalf("recovered ledger %+v, sequential replay %+v", got, want)
+	}
+}
+
 // TestChaosBackpressure stalls a shard mid-serve and checks the
 // bounded-backpressure surface: TrySubmit sheds with ErrOverloaded,
 // SubmitCtx respects its deadline, and after Release every accepted

@@ -6,26 +6,41 @@
 // equivalent live instance without trace replay, through the same
 // state-migrating injection pass the amortized rebuild uses.
 //
-// Wire format (all integers little-endian):
+// Wire format, version 2 (all integers little-endian; varints are
+// unsigned LEB128):
 //
 //	magic   [6]byte  "TCSNAP"
-//	version uint16   format version (currently 1)
+//	version uint16   format version (currently 2)
 //	crc32   uint32   IEEE CRC over the payload
 //	payload varint-coded fields:
 //	        alpha capacity rebuildFrac(float64 bits, 8 bytes) epoch
 //	        pending round phaseRounds phase peak
 //	        serve move fetched evicted          (ledger; alpha above)
-//	        ids, then per stable id:
-//	          flags byte (bit0 live, bit1 inSnap, bit2 cached)
+//	        nextID                              (size of the id space)
+//	        then, to the end, one entry per present stable id, ascending:
+//	          flags byte (bit0 live, bit1 inSnap, bit2 cached, bit3 gap)
+//	          gap varint (bit3 only): withdrawn ids skipped since the
+//	            previous entry, ≥ 1
 //	          parent+1 varint (0 encodes None)
 //	          counter varint (live ids only)
 //
+// The present ids are the snapshot-resident ones (live or tombstoned)
+// and the live overlay leaves. Every other id below nextID was
+// withdrawn and is implicit — a run of them between two entries is one
+// gap varint, a run after the last entry costs nothing — so a capture
+// takes O(snapshot + overlay) time and bytes however many ids the
+// instance ever withdrew, and a state without withdrawals encodes
+// exactly as large as it did in version 1. Version 1 listed every id
+// of the space with the same per-entry layout and no gap bit, the id
+// count standing where nextID does; Restore still reads it.
+//
 // Every read is bounds-checked and every integrity failure — bad
-// magic, unknown version, truncation, checksum mismatch — is returned
-// as an error wrapping ErrFormat or ErrChecksum; corrupted bytes never
-// panic. A checksum-valid payload is additionally structurally
-// validated by core.RestoreMutable (id-space wiring, live parents,
-// downward-closed cached set, capacity) before any state is built.
+// magic, unknown version, truncation, checksum mismatch, an id space
+// beyond the node-id range, a gap past it — is returned as an error
+// wrapping ErrFormat or ErrChecksum; corrupted bytes never panic. A
+// checksum-valid payload is additionally structurally validated by
+// core.RestoreMutable (id order, live parents, downward-closed cached
+// set, capacity) before any state is built.
 package snapshot
 
 import (
@@ -34,17 +49,26 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/tree"
 )
 
-// Version is the current snapshot format version. Restore rejects
-// snapshots written by a newer (unknown) format.
-const Version = 1
+// Version is the current snapshot format version. Restore reads every
+// version up to it and rejects snapshots written by a newer format.
+const Version = 2
 
 const headerLen = 12 // magic(6) + version(2) + crc32(4)
+
+// Entry flag bits.
+const (
+	flagLive   = 1 << 0
+	flagInSnap = 1 << 1
+	flagCached = 1 << 2
+	flagGap    = 1 << 3 // version 2: a gap varint follows the flags
+)
 
 var magic = [6]byte{'T', 'C', 'S', 'N', 'A', 'P'}
 
@@ -57,81 +81,116 @@ var (
 	ErrFormat = errors.New("snapshot: malformed")
 )
 
-// Capture serializes m's full observable state.
+// wire converts a captured field to its varint value. Captured state
+// is non-negative by construction (and entry ids ascend, so gaps are
+// too); guard so a future field change cannot silently wrap through
+// uvarint.
+func wire(v int64) uint64 {
+	if v < 0 {
+		panic(fmt.Sprintf("snapshot: negative field %d in captured state", v))
+	}
+	return uint64(v)
+}
+
+// uvarintLen is the encoded length of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// Capture serializes m's full observable state into one buffer: its
+// exact size is summed first, the header is reserved up front and the
+// checksum patched in place, so the blob is the only allocation.
 func Capture(m *core.MutableTC) ([]byte, error) {
 	st := m.ExportState()
-	ids := len(st.Live)
-	payload := make([]byte, 0, 64+3*ids)
-	put := func(v int64) {
-		if v < 0 {
-			// Captured state is non-negative by construction; guard so a
-			// future field change cannot silently wrap through uvarint.
-			panic(fmt.Sprintf("snapshot: negative field %d in captured state", v))
-		}
-		payload = binary.AppendUvarint(payload, uint64(v))
+	// Header fields in wire order; rebuildFrac's 8 fixed bytes follow
+	// the first two.
+	head := [...]int64{m.Alpha(), int64(m.Capacity()),
+		st.Epoch, int64(st.Pending), st.Round, st.PhaseRounds, st.Phase, int64(st.Peak),
+		st.Led.Serve, st.Led.Move, st.Led.Fetched, st.Led.Evicted, int64(st.NextID)}
+
+	// Sizing pass. It also validates every field (wire), so the writing
+	// pass below converts directly.
+	size := headerLen + 8
+	for _, v := range head {
+		size += uvarintLen(wire(v))
 	}
-	put(m.Alpha())
-	put(int64(m.Capacity()))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(m.RebuildFrac()))
-	put(st.Epoch)
-	put(int64(st.Pending))
-	put(st.Round)
-	put(st.PhaseRounds)
-	put(st.Phase)
-	put(int64(st.Peak))
-	put(st.Led.Serve)
-	put(st.Led.Move)
-	put(st.Led.Fetched)
-	put(st.Led.Evicted)
-	put(int64(ids))
-	for s := 0; s < ids; s++ {
+	prev := tree.NodeID(-1)
+	for i := range st.Nodes {
+		ns := &st.Nodes[i]
+		size += 1 + uvarintLen(wire(int64(ns.Parent)+1))
+		if gap := int64(ns.ID) - int64(prev) - 1; gap != 0 {
+			size += uvarintLen(wire(gap))
+		}
+		if ns.Live {
+			size += uvarintLen(wire(ns.Cnt))
+		}
+		prev = ns.ID
+	}
+
+	out := make([]byte, headerLen, size)
+	copy(out, magic[:])
+	binary.LittleEndian.PutUint16(out[6:], Version)
+	for _, v := range head[:2] {
+		out = binary.AppendUvarint(out, uint64(v))
+	}
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(m.RebuildFrac()))
+	for _, v := range head[2:] {
+		out = binary.AppendUvarint(out, uint64(v))
+	}
+	prev = -1
+	for i := range st.Nodes {
+		ns := &st.Nodes[i]
 		var flags byte
-		if st.Live[s] {
-			flags |= 1
+		if ns.Live {
+			flags |= flagLive
 		}
-		if st.InSnap[s] {
-			flags |= 2
+		if ns.InSnap {
+			flags |= flagInSnap
 		}
-		if st.Cached[s] {
-			flags |= 4
+		if ns.Cached {
+			flags |= flagCached
 		}
-		payload = append(payload, flags)
-		put(int64(st.Parent[s]) + 1)
-		if st.Live[s] {
-			put(st.Cnt[s])
+		gap := uint64(int64(ns.ID) - int64(prev) - 1)
+		if gap != 0 {
+			flags |= flagGap
 		}
+		out = append(out, flags)
+		if gap != 0 {
+			out = binary.AppendUvarint(out, gap)
+		}
+		out = binary.AppendUvarint(out, uint64(int64(ns.Parent)+1))
+		if ns.Live {
+			out = binary.AppendUvarint(out, uint64(ns.Cnt))
+		}
+		prev = ns.ID
 	}
-	out := make([]byte, 0, headerLen+len(payload))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
+	binary.LittleEndian.PutUint32(out[8:12], crc32.ChecksumIEEE(out[headerLen:]))
 	return out, nil
 }
 
 // Verify checks the envelope and payload checksum without decoding any
 // state. It is cheap enough to run on every periodic checkpoint.
 func Verify(data []byte) error {
-	_, err := payload(data)
+	_, _, err := payload(data)
 	return err
 }
 
-// payload validates the envelope and returns the checksummed payload.
-func payload(data []byte) ([]byte, error) {
+// payload validates the envelope and returns the checksummed payload
+// and its format version.
+func payload(data []byte) ([]byte, uint16, error) {
 	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrFormat, len(data), headerLen)
+		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrFormat, len(data), headerLen)
 	}
 	if [6]byte(data[:6]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	if v := binary.LittleEndian.Uint16(data[6:8]); v != Version {
-		return nil, fmt.Errorf("%w: unsupported format version %d (have %d)", ErrFormat, v, Version)
+	v := binary.LittleEndian.Uint16(data[6:8])
+	if v < 1 || v > Version {
+		return nil, 0, fmt.Errorf("%w: unsupported format version %d (have 1..%d)", ErrFormat, v, Version)
 	}
 	p := data[headerLen:]
 	if want, got := binary.LittleEndian.Uint32(data[8:12]), crc32.ChecksumIEEE(p); want != got {
-		return nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, want, got)
+		return nil, 0, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, want, got)
 	}
-	return p, nil
+	return p, v, nil
 }
 
 // reader is a bounds-checked payload cursor: the first failed read
@@ -198,8 +257,9 @@ func (r *reader) float64(field string) float64 {
 	return v
 }
 
-// decode parses a verified payload into configuration and state.
-func decode(p []byte) (core.MutableConfig, *core.MutableState, error) {
+// decode parses a verified payload of the given format version into
+// configuration and state.
+func decode(p []byte, version uint16) (core.MutableConfig, *core.MutableState, error) {
 	r := &reader{b: p}
 	var cfg core.MutableConfig
 	cfg.Alpha = r.nonneg("alpha")
@@ -222,38 +282,64 @@ func decode(p []byte) (core.MutableConfig, *core.MutableState, error) {
 	if r.err != nil {
 		return cfg, nil, r.err
 	}
-	// Each id costs at least two payload bytes (flags + parent), which
-	// bounds the allocation a crafted-but-checksummed count can force.
-	if ids < 1 || ids > int64(len(p)) {
-		return cfg, nil, fmt.Errorf("%w: id count %d inconsistent with payload size %d", ErrFormat, ids, len(p))
+	// Restore memory is O(ids), so the id space is bounded before
+	// anything is allocated: it must fit the node-id range, and a
+	// version-1 payload lists every id in at least two bytes.
+	if ids < 1 || ids > math.MaxInt32 || (version == 1 && ids > int64(len(p))) {
+		return cfg, nil, fmt.Errorf("%w: id space of %d ids inconsistent with the node-id range or payload size %d", ErrFormat, ids, len(p))
 	}
-	st.Parent = make([]tree.NodeID, ids)
-	st.Live = make([]bool, ids)
-	st.InSnap = make([]bool, ids)
-	st.Cnt = make([]int64, ids)
-	st.Cached = make([]bool, ids)
-	for s := int64(0); s < ids; s++ {
+	st.NextID = int(ids)
+	maxFlags := byte(flagLive | flagInSnap | flagCached)
+	if version >= 2 {
+		maxFlags |= flagGap
+	}
+	// Every entry takes at least two bytes (flags + parent).
+	st.Nodes = make([]core.NodeState, 0, min(ids, int64(len(p)-r.off)/2))
+	next := int64(0) // the id of the next entry unless a gap precedes it
+	for r.off < len(p) {
 		flags := r.byte("flags")
-		if flags > 7 {
-			r.fail("unknown flag bits %08b on id %d", flags, s)
+		if flags > maxFlags {
+			r.fail("unknown flag bits %08b on id %d", flags, next)
 		}
-		st.Live[s] = flags&1 != 0
-		st.InSnap[s] = flags&2 != 0
-		st.Cached[s] = flags&4 != 0
+		if flags&flagGap != 0 {
+			gap := r.nonneg("gap")
+			// Checked before adding, so no gap can wrap the id back to a
+			// duplicate or a smaller one.
+			if r.err == nil && (gap < 1 || gap >= ids-next) {
+				return cfg, nil, fmt.Errorf("%w: gap of %d ids after id %d runs past the id space of %d ids", ErrFormat, gap, next-1, ids)
+			}
+			next += gap
+		}
+		if next >= ids {
+			r.fail("entry beyond the id space of %d ids", ids)
+		}
 		parent := r.nonneg("parent")
 		if parent > ids {
-			r.fail("parent %d of id %d out of range", parent-1, s)
+			r.fail("parent %d of id %d out of range", parent-1, next)
 		}
-		st.Parent[s] = tree.NodeID(parent - 1)
-		if st.Live[s] {
-			st.Cnt[s] = r.nonneg("counter")
+		ns := core.NodeState{
+			ID:     tree.NodeID(next),
+			Parent: tree.NodeID(parent - 1),
+			Live:   flags&flagLive != 0,
+			InSnap: flags&flagInSnap != 0,
+			Cached: flags&flagCached != 0,
+		}
+		if ns.Live {
+			ns.Cnt = r.nonneg("counter")
 		}
 		if r.err != nil {
 			return cfg, nil, r.err
 		}
+		// Version 1 lists withdrawn ids too, with no flags set; version 2
+		// writes present ids only, and restore rejects an entry without
+		// state.
+		if version >= 2 || flags != 0 {
+			st.Nodes = append(st.Nodes, ns)
+		}
+		next++
 	}
-	if r.off != len(p) {
-		return cfg, nil, fmt.Errorf("%w: %d trailing bytes after state", ErrFormat, len(p)-r.off)
+	if version == 1 && next != ids {
+		return cfg, nil, fmt.Errorf("%w: %d of %d ids listed", ErrFormat, next, ids)
 	}
 	return cfg, st, nil
 }
@@ -263,11 +349,11 @@ func decode(p []byte) (core.MutableConfig, *core.MutableState, error) {
 // recorded and no observer attached. Corrupted or inconsistent bytes
 // return an error; Restore never panics on input data.
 func Restore(data []byte) (*core.MutableTC, error) {
-	p, err := payload(data)
+	p, version, err := payload(data)
 	if err != nil {
 		return nil, err
 	}
-	cfg, st, err := decode(p)
+	cfg, st, err := decode(p, version)
 	if err != nil {
 		return nil, err
 	}
@@ -278,11 +364,11 @@ func Restore(data []byte) (*core.MutableTC, error) {
 // keeping m's configuration and attached observer. The snapshot's
 // alpha and capacity must match m's; m is untouched on any error.
 func RestoreInto(m *core.MutableTC, data []byte) error {
-	p, err := payload(data)
+	p, version, err := payload(data)
 	if err != nil {
 		return err
 	}
-	cfg, st, err := decode(p)
+	cfg, st, err := decode(p, version)
 	if err != nil {
 		return err
 	}

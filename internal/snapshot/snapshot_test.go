@@ -2,7 +2,9 @@ package snapshot_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -342,6 +344,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{12, 1, 4, 30, 200, 199, 244, 0, 1, 2, 3, 255, 16, 254, 17})
 	f.Add([]byte{5, 2, 2, 200, 0, 0, 0, 128, 241, 128, 128, 245, 130, 7})
 	f.Add([]byte{16, 3, 6, 77, 255, 254, 1, 2, 250, 3, 249, 248, 7, 251, 252, 130, 131})
+	// Heavy announce/withdraw churn on a 12-node binary tree: the
+	// capture holds many withdrawn ids, as gaps and tombstones.
+	churn := []byte{10, 2, 4, 90}
+	for i := 0; i < 40; i++ {
+		churn = append(churn, 250+byte(i%6), 3*byte(i), 240+byte(i%10), 245)
+	}
+	f.Add(churn)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			t.Skip()
@@ -359,4 +368,123 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		roundTrip(t, tr, cfg, steps, cut, int(data[0])+int(data[3]))
 	})
+}
+
+// TestCaptureSizeIgnoresWithdrawals pins that a withdrawn id costs a
+// capture nothing once a rebuild has dropped it from the snapshot:
+// 100k leaves are announced and withdrawn under a non-cached rule,
+// which leaves the algorithm state as it was and grows only the id
+// space and the epoch, and the blob stays within 16 bytes of the
+// pre-churn one. (Version 1 listed every id in at least three bytes
+// here, so the same churn grew its blob by more than 300 KB.)
+func TestCaptureSizeIgnoresWithdrawals(t *testing.T) {
+	tr := tree.CompleteKary(1023, 2)
+	m := core.NewMutable(tr, core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 256}, RebuildFrac: 1})
+	for _, req := range trace.RandomMixed(rand.New(rand.NewSource(9)), tr, 20000) {
+		m.Serve(req)
+	}
+	parent := tree.None
+	for v := tree.NodeID(tr.Len() - 1); v > 0 && parent == tree.None; v-- {
+		if tr.IsLeaf(v) && !m.Cached(v) {
+			parent = v
+		}
+	}
+	if parent == tree.None {
+		t.Fatal("no non-cached leaf to churn under")
+	}
+	before := mustCapture(t, m)
+	led := m.Ledger()
+	const churn = 100000
+	for i := 0; i < churn; i++ {
+		v, err := m.Insert(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Delete(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Rebuild()
+	after := mustCapture(t, m)
+	if got, want := m.Dyn().NumIDs(), tr.Len()+churn; got != want {
+		t.Fatalf("id space %d, want %d", got, want)
+	}
+	if m.Ledger() != led {
+		t.Fatalf("churn under a non-cached rule moved the ledger: %+v → %+v", led, m.Ledger())
+	}
+	if len(after) > len(before)+16 {
+		t.Fatalf("blob grew from %d to %d bytes with %d withdrawn ids", len(before), len(after), churn)
+	}
+	if cap(after) != len(after) {
+		t.Fatalf("capture buffer has capacity %d for a %d-byte blob", cap(after), len(after))
+	}
+	restored, err := snapshot.Restore(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEqualState(t, "after churn", m, restored)
+}
+
+// craftV2 returns a checksummed version-2 blob for alpha 4, capacity 8
+// and an all-zero cursor state with id space ids, followed by the given
+// entry bytes.
+func craftV2(ids uint64, entries ...byte) []byte {
+	out := append([]byte(nil), "TCSNAP"...)
+	out = binary.LittleEndian.AppendUint16(out, 2)
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	out = binary.AppendUvarint(out, 4) // alpha
+	out = binary.AppendUvarint(out, 8) // capacity
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(0.125))
+	for i := 0; i < 10; i++ { // epoch … evicted
+		out = append(out, 0)
+	}
+	out = binary.AppendUvarint(out, ids)
+	out = append(out, entries...)
+	binary.LittleEndian.PutUint32(out[8:12], crc32.ChecksumIEEE(out[12:]))
+	return out
+}
+
+// TestCraftedV2Blobs feeds checksum-valid but malformed version-2
+// payloads to the decoder: each must fail with ErrFormat, before any
+// id-space-sized allocation, and never panic.
+func TestCraftedV2Blobs(t *testing.T) {
+	// Entry flags: live + snapshot-resident, and the gap bit.
+	const root, gapBit = 1 | 2, 8
+	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	rootEntry := []byte{root, 0, 0} // flags, parent+1 (None), counter
+	if _, err := snapshot.Restore(craftV2(1, rootEntry...)); err != nil {
+		t.Fatalf("the one-node control blob fails: %v", err)
+	}
+	cases := map[string][]byte{
+		"id space beyond int32":         craftV2(1<<31, rootEntry...),
+		"id space of 2^63-1":            craftV2(math.MaxInt64, rootEntry...),
+		"empty id space":                craftV2(0, rootEntry...),
+		"gap past NextID":               craftV2(3, cat(rootEntry, []byte{root | gapBit}, uv(5), []byte{1, 0})...),
+		"gap ending at NextID":          craftV2(3, cat(rootEntry, []byte{root | gapBit}, uv(2), []byte{1, 0})...),
+		"zero gap":                      craftV2(3, cat(rootEntry, []byte{root | gapBit}, uv(0), []byte{1, 0})...),
+		"duplicate id (gap wraps to 0)": craftV2(3, cat(rootEntry, []byte{root | gapBit}, uv(math.MaxUint64), []byte{1, 0})...),
+		"descending id (gap wraps)":     craftV2(3, cat(rootEntry, []byte{root | gapBit}, uv(math.MaxInt64), []byte{1, 0})...),
+		"entry past NextID":             craftV2(1, cat(rootEntry, []byte{root, 1, 0})...),
+		"unknown flag bit":              craftV2(2, cat(rootEntry, []byte{16, 1, 0})...),
+		"truncated entry":               craftV2(2, cat(rootEntry, []byte{root})...),
+	}
+	for name, blob := range cases {
+		if err := snapshot.Verify(blob); err != nil {
+			t.Fatalf("%s: crafted blob fails its checksum: %v", name, err)
+		}
+		if _, err := snapshot.Restore(blob); !errors.Is(err, snapshot.ErrFormat) {
+			t.Errorf("%s: Restore = %v, want ErrFormat", name, err)
+		}
+		m := core.NewMutable(tree.Path(3), core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 8}})
+		if err := snapshot.RestoreInto(m, blob); !errors.Is(err, snapshot.ErrFormat) {
+			t.Errorf("%s: RestoreInto = %v, want ErrFormat", name, err)
+		}
+	}
 }
