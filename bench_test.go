@@ -1,5 +1,6 @@
-// Package repro's root benchmark harness: one benchmark per experiment
-// of DESIGN.md §4, plus microbenchmarks of the core data structures.
+// Package repro's root benchmark harness: benchmarks behind the
+// experiments listed in internal/experiments' package doc, plus
+// microbenchmarks of the core data structures.
 // Run everything with:
 //
 //	go test -bench=. -benchmem

@@ -1,7 +1,7 @@
 // Command experiments regenerates every evaluation artefact of the
-// reproduction (DESIGN.md §4, EXPERIMENTS.md). Each experiment prints
-// one or more tables; the rows are the reproduction's equivalent of
-// the paper's (theoretical) claims.
+// reproduction (listed in internal/experiments' package doc). Each
+// experiment prints one or more tables; the rows are the
+// reproduction's equivalent of the paper's (theoretical) claims.
 //
 // Usage:
 //

@@ -13,12 +13,18 @@
 // are never lost or re-served (clients resume via the wire LastSeq).
 //
 // With -wal the durability promise hardens from SIGTERM to SIGKILL:
-// every admitted frame is appended to a per-shard write-ahead log and
-// its ack withheld until a group-commit fsync (window: -fsync-interval)
-// covers it, so even a hard crash loses no acknowledged batch —
-// startup replays the WAL tail on top of the checkpoint, /readyz
-// staying 503 until the replay completes. -checkpoint-interval bounds
-// the replay by periodically checkpointing and truncating the logs.
+// every admitted frame is appended to one write-ahead log shared by
+// every tenant (treecached.wal in -state-dir) and its ack withheld
+// until a group-commit fsync (window: -fsync-interval) covers it, so
+// even a hard crash loses no acknowledged batch — startup replays the
+// WAL tail on top of the checkpoint, /readyz staying 503 until the
+// replay completes. One fsync covers every tenant's frames in flight.
+// Checkpoints hold the engine's verified captures, so a corrupt one is
+// refused before it can replace the last good checkpoint.
+// -checkpoint-interval bounds the replay by periodically checkpointing
+// and truncating the log. A -state-dir written with one log per tenant
+// (shard-NNNN.wal) still recovers; the next checkpoint deletes those
+// logs.
 package main
 
 import (

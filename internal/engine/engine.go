@@ -50,6 +50,12 @@
 // The single-writer property is preserved: supervision runs entirely
 // inside the shard's worker goroutine. Unsupervised shards keep plain
 // Go semantics — a panic propagates and crashes the process.
+//
+// Checkpoint hands the fleet's state to a caller that persists it
+// (treecached's durable checkpoint). Every blob comes from the one
+// capture rule supervision uses — Snapshot, then VerifySnapshot — taken
+// by the shard's own worker at a drain point, so a persisted blob is
+// never one that supervision would have rejected.
 package engine
 
 import (
@@ -106,8 +112,9 @@ type BatchServer interface {
 // Checkpointer is optionally implemented by algorithms whose full
 // observable state can be captured and restored (core.MutableTC via
 // internal/snapshot's Checkpointed adapter). Implementing it opts the
-// shard into supervision: periodic checkpoints, panic recovery with
-// journal replay, and bounded retry. Snapshot must return a
+// shard into supervision — periodic checkpoints, panic recovery with
+// journal replay, and bounded retry — and into Engine.Checkpoint.
+// Snapshot must return a
 // self-contained blob; Restore must rebuild exactly the captured state
 // in place and leave the instance untouched on error.
 type Checkpointer interface {
@@ -116,10 +123,11 @@ type Checkpointer interface {
 }
 
 // SnapshotVerifier is optionally implemented alongside Checkpointer.
-// When present, the supervisor integrity-checks every captured blob
-// before accepting it as the shard's recovery point; a verification
-// failure keeps the previous good checkpoint in force (counted in
-// CkptErrs) and lets the journal keep growing until a capture passes.
+// When present, every captured blob is integrity-checked before it is
+// accepted as the shard's recovery point or handed out by Checkpoint;
+// a verification failure keeps the previous good checkpoint in force
+// (counted in CkptErrs) and lets the journal keep growing until a
+// capture passes.
 type SnapshotVerifier interface {
 	VerifySnapshot(data []byte) error
 }
@@ -178,12 +186,13 @@ type ShardStats struct {
 	// QueueDepth is the shard's queue occupancy sampled at the moment
 	// Stats was called (the one field not published by the worker).
 	QueueDepth int
-	// Supervision counters (zero on unsupervised shards): Restarts
-	// counts recovered panics, Checkpoints accepted state captures,
-	// CkptErrs failed or verification-rejected captures, and Dropped
-	// whole messages abandoned after exhausting panic retries. CkptNs
-	// is the total wall time spent capturing and verifying checkpoints
-	// (accepted or not), CkptBytes the size of the last accepted one.
+	// Supervision counters: Restarts counts recovered panics,
+	// Checkpoints accepted state captures, CkptErrs failed or
+	// verification-rejected captures, and Dropped whole messages
+	// abandoned after exhausting panic retries. CkptNs is the total
+	// wall time spent capturing and verifying checkpoints (accepted or
+	// not), CkptBytes the size of the last accepted one. On an
+	// unsupervised shard only Checkpoint's captures count.
 	Restarts    int64
 	Checkpoints int64
 	CkptErrs    int64
@@ -234,23 +243,37 @@ type Stats struct {
 func (s Stats) Total() int64 { return s.Serve + s.Move }
 
 // message is one queue entry: a batch of requests, a topology-mutation
-// control message, or a drain token carrying the channel to
-// acknowledge on. box, when non-nil, marks an engine-owned (pooled)
-// batch buffer: the worker recycles it onto the engine's free list
-// after serving (after the next checkpoint, on supervised shards).
+// control message, or a drain token. box, when non-nil, marks an
+// engine-owned (pooled) batch buffer: the worker recycles it onto the
+// engine's free list after serving (after the next checkpoint, on
+// supervised shards).
 type message struct {
 	batch trace.Trace
 	box   *trace.Trace
 	muts  []trace.Mutation
-	flush chan<- struct{}
+	flush *flushReq
+}
+
+// flushReq is a drain token, shared by every shard it is sent to: the
+// channel to acknowledge on, and whether the acknowledgement carries
+// the shard's verified state (Checkpoint) or not (Drain).
+type flushReq struct {
+	acks    chan<- flushAck
+	capture bool
+}
+
+// flushAck acknowledges a drain token: the shard, plus for a
+// Checkpoint token its verified capture or the reason there is none.
+type flushAck struct {
+	shard int
+	blob  []byte
+	err   error
 }
 
 // supervisor is a shard's recovery state, confined to the worker.
 type supervisor struct {
-	ck     Checkpointer
-	verify func([]byte) error // nil unless the algorithm verifies blobs
-	every  int                // checkpoint cadence, messages
-	ckpt   []byte             // last accepted snapshot (nil: none yet)
+	every int    // checkpoint cadence, messages
+	ckpt  []byte // last accepted snapshot (nil: none yet)
 	// journal holds every message applied since ckpt, in order; replay
 	// after a restore reproduces the pre-fault state deterministically.
 	journal []message
@@ -273,12 +296,15 @@ type shard struct {
 	id    int
 	name  string
 	algo  Algorithm
-	batch BatchServer           // non-nil when algo serves batches natively
-	topo  TopologyServer        // non-nil when algo accepts topology mutations
-	sup   *supervisor           // non-nil when the shard runs supervised
-	ratio *metrics.RatioMonitor // non-nil when a ratio monitor is attached
-	in    chan message
-	done  chan struct{}
+	batch BatchServer    // non-nil when algo serves batches natively
+	topo  TopologyServer // non-nil when algo accepts topology mutations
+	ck    Checkpointer   // non-nil when algo captures and restores its state
+	// verify is algo's SnapshotVerifier, nil when it has none.
+	verify func([]byte) error
+	sup    *supervisor           // non-nil when the shard runs supervised
+	ratio  *metrics.RatioMonitor // non-nil when a ratio monitor is attached
+	in     chan message
+	done   chan struct{}
 	// pub is the published snapshot: a fresh immutable ShardStats is
 	// stored once per batch by the shard's single writer, so readers
 	// always see an internally consistent (never torn) snapshot.
@@ -349,15 +375,16 @@ func New(cfg Config) *Engine {
 		if i < len(cfg.RatioMonitors) {
 			s.ratio = cfg.RatioMonitors[i]
 		}
-		if ck, ok := algo.(Checkpointer); ok && cfg.CheckpointEvery >= 0 {
+		s.ck, _ = algo.(Checkpointer)
+		if v, ok := algo.(SnapshotVerifier); ok && s.ck != nil {
+			s.verify = v.VerifySnapshot
+		}
+		if s.ck != nil && cfg.CheckpointEvery >= 0 {
 			every := cfg.CheckpointEvery
 			if every == 0 {
 				every = queue
 			}
-			s.sup = &supervisor{ck: ck, every: every}
-			if v, ok := algo.(SnapshotVerifier); ok {
-				s.sup.verify = v.VerifySnapshot
-			}
+			s.sup = &supervisor{every: every}
 		}
 		e.shards[i] = s
 		go e.worker(s)
@@ -585,20 +612,46 @@ func (e *Engine) SubmitMulti(mt trace.MultiTrace, batchLen int) error {
 // every batch and mutation slice submitted before the call is the
 // caller's again once Drain returns. Draining a closed engine is a
 // no-op.
-func (e *Engine) Drain() {
-	acks := make(chan struct{}, len(e.shards))
+func (e *Engine) Drain() { e.flush(false) }
+
+// Checkpoint is Drain plus each shard's state as a blob (blobs[i] is
+// shard i's), taken by the shard's worker at the drain point with the
+// capture rule supervision uses: Snapshot, then VerifySnapshot when the
+// algorithm has it. A supervised shard with nothing journaled since its
+// last accepted capture hands that one back, so a checkpoint costs at
+// most one capture per shard. A failed or rejected capture on any shard
+// fails the whole call. The blobs form one consistency point only if no
+// submission races the call. Every shard's algorithm must implement
+// Checkpointer; a closed engine returns ErrClosed.
+func (e *Engine) Checkpoint() ([][]byte, error) { return e.flush(true) }
+
+// flush sends a drain token (a Checkpoint token with capture set) to
+// every shard and collects the acknowledgements.
+func (e *Engine) flush(capture bool) ([][]byte, error) {
+	acks := make(chan flushAck, len(e.shards))
+	req := &flushReq{acks: acks, capture: capture}
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		return
+		return nil, ErrClosed
 	}
 	for _, s := range e.shards {
-		s.in <- message{flush: acks}
+		s.in <- message{flush: req}
 	}
 	e.mu.RUnlock()
+	blobs := make([][]byte, len(e.shards))
+	errs := make([]error, len(e.shards))
 	for range e.shards {
-		<-acks
+		a := <-acks
+		blobs[a.shard] = a.blob
+		if a.err != nil {
+			errs[a.shard] = fmt.Errorf("engine: shard %d: %w", a.shard, a.err)
+		}
 	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return blobs, nil
 }
 
 // Close serves all queued batches, stops the workers and releases the
@@ -669,24 +722,11 @@ func (e *Engine) worker(s *shard) {
 	if s.sup != nil {
 		// Initial recovery point: a shard that faults before its first
 		// periodic checkpoint restores to its constructed state.
-		s.sup.capture(&w)
+		s.sup.checkpoint(s, &w)
 	}
 	for msg := range s.in {
 		if msg.flush != nil {
-			if s.sup != nil && len(s.sup.journal) > 0 {
-				// Drain is a consistency point: checkpointing here
-				// releases the drained (possibly caller-owned) batches
-				// from the journal. Drain hands that memory back to the
-				// caller either way, so a rejected capture leaves
-				// engine-owned copies in the journal instead.
-				if s.sup.capture(&w) {
-					e.recycleJournal(s.sup)
-				} else {
-					s.sup.ownJournal()
-				}
-				s.publish(&w)
-			}
-			msg.flush <- struct{}{}
+			msg.flush.acks <- e.consistencyPoint(s, &w, msg.flush.capture)
 			continue
 		}
 		if msg.muts != nil {
@@ -822,7 +862,7 @@ func (e *Engine) supervised(s *shard, w *counters, msg message) bool {
 			w.topoOK += ok
 			w.topoErrs += errs
 			sup.journal = append(sup.journal, msg)
-			if len(sup.journal) >= sup.every && sup.capture(w) {
+			if len(sup.journal) >= sup.every && sup.checkpoint(s, w) == nil {
 				e.recycleJournal(sup)
 			}
 			return true
@@ -867,7 +907,7 @@ func (s *shard) attempt(msg message, w *counters) (ok, errs int64, panicked bool
 // (Restore error, or a panic while replaying) is not survivable —
 // supervision's own invariants are broken — and propagates.
 func (sup *supervisor) recover(s *shard, w *counters) {
-	if err := sup.ck.Restore(sup.ckpt); err != nil {
+	if err := s.ck.Restore(sup.ckpt); err != nil {
 		panic(fmt.Sprintf("engine: shard %d: restore from checkpoint failed after panic: %v", s.id, err))
 	}
 	for _, m := range sup.journal {
@@ -879,26 +919,66 @@ func (sup *supervisor) recover(s *shard, w *counters) {
 	}
 }
 
-// capture takes a checkpoint and reports whether it was accepted: on
-// success the blob becomes the shard's recovery point; on failure
-// (Snapshot error or verification reject) the previous checkpoint
-// stays in force and the journal keeps growing, counted in CkptErrs.
-// Capture plus verification is timed with two clock reads.
-func (sup *supervisor) capture(w *counters) bool {
+// capture is the one capture rule: Snapshot, then VerifySnapshot when
+// the algorithm has it. An accepted blob counts in Checkpoints, a
+// failed or rejected one in CkptErrs; capture plus verification is
+// timed with two clock reads.
+func (s *shard) capture(w *counters) ([]byte, error) {
 	start := time.Now()
-	blob, err := sup.ck.Snapshot()
-	if err == nil && sup.verify != nil {
-		err = sup.verify(blob)
+	blob, err := s.ck.Snapshot()
+	if err == nil && s.verify != nil {
+		err = s.verify(blob)
 	}
 	w.ckptNs += time.Since(start).Nanoseconds()
 	if err != nil {
 		w.ckptErrs++
-		return false
+		return nil, err
 	}
-	sup.ckpt = blob
 	w.checkpoints++
 	w.ckptBytes = int64(len(blob))
-	return true
+	return blob, nil
+}
+
+// checkpoint captures a new recovery point. An accepted blob replaces
+// the shard's checkpoint; on failure the previous checkpoint stays in
+// force and the journal keeps growing.
+func (sup *supervisor) checkpoint(s *shard, w *counters) error {
+	blob, err := s.capture(w)
+	if err == nil {
+		sup.ckpt = blob
+	}
+	return err
+}
+
+// consistencyPoint answers a drain token once every earlier message of
+// the shard is served. A supervised shard with journaled work
+// checkpoints here, which releases the drained (possibly caller-owned)
+// batches from the journal; Drain hands that memory back to the caller
+// either way, so a rejected capture leaves engine-owned copies in the
+// journal instead. A supervised shard answers with its last accepted
+// capture, which an empty journal proves current; an unsupervised one
+// captures only for a Checkpoint token.
+func (e *Engine) consistencyPoint(s *shard, w *counters, capture bool) flushAck {
+	ack := flushAck{shard: s.id}
+	switch sup := s.sup; {
+	case sup != nil:
+		if len(sup.journal) > 0 || capture && sup.ckpt == nil {
+			if ack.err = sup.checkpoint(s, w); ack.err == nil {
+				e.recycleJournal(sup)
+			} else {
+				sup.ownJournal()
+			}
+			s.publish(w)
+		}
+		ack.blob = sup.ckpt
+	case !capture:
+	case s.ck == nil:
+		ack.err = fmt.Errorf("algorithm %q does not implement Checkpointer", s.name)
+	default:
+		ack.blob, ack.err = s.capture(w)
+		s.publish(w)
+	}
+	return ack
 }
 
 // ownJournal replaces the journal's references to caller-owned memory

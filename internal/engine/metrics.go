@@ -111,13 +111,13 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 		func(s ShardStats) int64 { return s.TopoErrs })
 	counter("treecache_restarts_total", "Supervised panic recoveries.",
 		func(s ShardStats) int64 { return s.Restarts })
-	counter("treecache_checkpoints_total", "Accepted supervision checkpoints.",
+	counter("treecache_checkpoints_total", "Accepted state captures (supervision checkpoints, and Checkpoint captures on unsupervised shards).",
 		func(s ShardStats) int64 { return s.Checkpoints })
 	counter("treecache_checkpoint_errors_total", "Failed or rejected checkpoint captures.",
 		func(s ShardStats) int64 { return s.CkptErrs })
 	counter("treecache_dropped_total", "Messages dropped after exhausting panic retries.",
 		func(s ShardStats) int64 { return s.Dropped })
-	counter("treecache_checkpoint_ns_total", "Wall time spent capturing and verifying supervision checkpoints, nanoseconds.",
+	counter("treecache_checkpoint_ns_total", "Wall time spent capturing and verifying state, accepted or not, nanoseconds.",
 		func(s ShardStats) int64 { return s.CkptNs })
 
 	gauge("treecache_queue_depth", "Shard queue occupancy at scrape time.",
@@ -126,7 +126,7 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 		func(s ShardStats) int64 { return int64(s.MaxCache) })
 	gauge("treecache_batch_max_ns", "Slowest single batch, nanoseconds.",
 		func(s ShardStats) int64 { return s.MaxBatch })
-	gauge("treecache_checkpoint_bytes", "Size of the last accepted supervision checkpoint, bytes.",
+	gauge("treecache_checkpoint_bytes", "Size of the last accepted state capture, bytes.",
 		func(s ShardStats) int64 { return s.CkptBytes })
 
 	x.Header("treecache_request_latency_ns", "histogram",

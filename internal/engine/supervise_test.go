@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/tree"
@@ -151,6 +152,90 @@ func TestCheckpointCadence(t *testing.T) {
 	if st.QueueDepth != 0 {
 		t.Fatalf("queue depth after drain = %d, want 0", st.QueueDepth)
 	}
+}
+
+// TestEngineCheckpoint pins the durable capture rule: every blob passed
+// verification and restores the shard's state; a supervised shard with
+// an empty journal hands back its last accepted capture instead of
+// taking another, an unsupervised one captures once per call; and one
+// rejected capture fails the whole call.
+func TestEngineCheckpoint(t *testing.T) {
+	base := tree.CompleteKary(31, 2)
+	batch := trace.Trace{{Node: 7, Kind: trace.Positive}, {Node: 12, Kind: trace.Positive}}
+	for _, tc := range []struct {
+		name  string
+		every int
+		// captures is what one Checkpoint with nothing journaled
+		// costs each shard.
+		captures int64
+	}{{"supervised", 64, 0}, {"unsupervised", -1, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			injs := []*faultinject.Injector{faultinject.NewInjector(), faultinject.NewInjector()}
+			eng := engine.New(engine.Config{
+				Shards:          2,
+				CheckpointEvery: tc.every,
+				NewShard: func(i int) engine.Algorithm {
+					m := core.NewMutable(base, core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 10}})
+					return faultinject.Wrap(snapshot.Checkpointed{MutableTC: m}, injs[i])
+				},
+			})
+			defer eng.Close()
+			submit := func() {
+				t.Helper()
+				for i := range injs {
+					if err := eng.Submit(i, batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			submit()
+			eng.Drain()
+			before := eng.Stats()
+			blobs, err := eng.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := eng.Stats()
+			for i, blob := range blobs {
+				if got := after.Shards[i].Checkpoints - before.Shards[i].Checkpoints; got != tc.captures {
+					t.Errorf("shard %d: Checkpoint took %d captures, want %d", i, got, tc.captures)
+				}
+				m, err := snapshot.Restore(blob)
+				if err != nil {
+					t.Fatalf("shard %d: %v", i, err)
+				}
+				if want := eng.Algorithm(i).Ledger(); m.Ledger() != want {
+					t.Errorf("shard %d: blob ledger %+v, want %+v", i, m.Ledger(), want)
+				}
+			}
+
+			injs[1].Arm(faultinject.Checkpoint, 1)
+			submit()
+			if blobs, err := eng.Checkpoint(); err == nil || blobs != nil {
+				t.Fatalf("Checkpoint with a corrupted capture = %d blobs, %v; want an error", len(blobs), err)
+			}
+			if st := eng.Stats().Shards[1]; st.CkptErrs != 1 {
+				t.Fatalf("shard 1 rejected %d captures, want 1", st.CkptErrs)
+			}
+			if _, err := eng.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint after the fault: %v", err)
+			}
+		})
+	}
+
+	t.Run("not a Checkpointer", func(t *testing.T) {
+		eng := engine.New(engine.Config{
+			Shards:   1,
+			NewShard: func(int) engine.Algorithm { return core.New(base, core.Config{Alpha: 4, Capacity: 10}) },
+		})
+		if _, err := eng.Checkpoint(); err == nil {
+			t.Fatal("Checkpoint of a shard without Checkpointer succeeded")
+		}
+		eng.Close()
+		if _, err := eng.Checkpoint(); !errors.Is(err, engine.ErrClosed) {
+			t.Fatalf("Checkpoint after Close: %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestSubmitCloseRace: submissions racing Close get a clean nil or

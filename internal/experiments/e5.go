@@ -69,7 +69,7 @@ func E5Shifting() []Report {
 		Notes: []string{
 			"negExactOK: negative fields where the up-shift delivered exactly α requests per node (Corollary 5.8) — must equal negFields",
 			"guaranteeOK: positive fields meeting the ≥ size/(2·layers) full-node bound under the repaired greedy shift — must equal posFields",
-			"literalFails: fields where the paper's literal Lemma 5.9 strategy left the field (the gap documented in DESIGN.md)",
+			"literalFails: fields where the paper's literal Lemma 5.9 strategy left the field (the gap documented at analysis.ShiftPositive)",
 			fmt.Sprintf("periodOK counts phases satisfying p_out = p_in + k_P exactly"),
 		},
 	}}

@@ -59,7 +59,7 @@ func E6ConstructionD() []Report {
 			"chronologyOK: TC applied exactly the four predicted changesets at the predicted rounds",
 			"earlyReqs arrive before T2 enters the field and can shift only into the s+1 nodes of T1∪{r}",
 			"maxFullBound = s+1 + ⌊(ℓ+1)/α⌋ upper-bounds nodes receiving α requests under ANY legal shift: ≈ half of |T| = 2s+1",
-			"stage 4 uses s·α−1 requests (paper says s·α, which would trigger a fetch of T1; see DESIGN.md)",
+			"stage 4 uses s·α−1 requests (paper says s·α, which would trigger a fetch of T1; see lowerbound.ConstructionD)",
 		},
 	}}
 }

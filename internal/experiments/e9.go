@@ -11,8 +11,8 @@ import (
 	"repro/internal/variants"
 )
 
-// E9Ablations probes the design choices DESIGN.md calls out, by
-// toggling the generalized engine's knobs (internal/variants):
+// E9Ablations probes the generalized engine's design choices by
+// toggling its knobs (internal/variants):
 //
 //   - maximality (fetch the maximal vs the minimal saturated cap);
 //   - phase flush vs evict-coldest on overflow;

@@ -1,7 +1,7 @@
 // Package experiments regenerates every evaluation artefact of the
-// reproduction (E1–E8 in DESIGN.md §4). Each experiment returns one or
-// more named tables; cmd/experiments renders them and EXPERIMENTS.md
-// records the measured outcomes against the paper's claims.
+// reproduction (listed below). Each experiment returns one or more
+// named tables, which cmd/experiments renders; each table's notes state
+// the claim its columns check.
 //
 // The paper is a theory paper without empirical tables, so each
 // experiment measures a theorem, lemma invariant, or construction:

@@ -117,7 +117,7 @@ func R(kONL, kOPT int) float64 {
 // at r, (3) evict T2, (4) positive requests at root(T1), (5) positive
 // requests at r triggering the fetch of the entire tree.
 //
-// Deviation from the paper (documented in DESIGN.md): stage 4 uses
+// Deviation from the paper: stage 4 uses
 // s·α−1 requests instead of s·α — with exactly s·α the cap T1 saturates
 // at the last request and TC fetches T1, contradicting the prose; the
 // missing request moves to stage 5 (ℓ+1 instead of ℓ), keeping the

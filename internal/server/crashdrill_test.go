@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/server"
-	"repro/internal/tree"
 )
 
 // The crash drill runs the daemon in a real child process and SIGKILLs
@@ -30,8 +29,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runCrashChild boots the daemon with the drill's fixed geometry and
-// blocks until SIGKILL. Configuration arrives via environment: listen
+// runCrashChild boots the daemon with the drill's fixed geometry — the
+// two-tenant walFleet, so both tenants share the one log — and blocks
+// until SIGKILL. Configuration arrives via environment: listen
 // address, admin address, state dir.
 func runCrashChild() {
 	cfg := server.Config{
@@ -41,7 +41,7 @@ func runCrashChild() {
 		WALDir:             os.Getenv("CRASH_STATE"),
 		FsyncInterval:      2 * time.Millisecond,
 		CheckpointInterval: 25 * time.Millisecond,
-		Trees:              []*tree.Tree{walTestTree()},
+		Trees:              walFleet(),
 		Alpha:              4,
 		Capacity:           16,
 		QueueLen:           16,
@@ -92,14 +92,16 @@ func spawnCrashChild(t *testing.T, addr, admin, dir string) *exec.Cmd {
 	return nil
 }
 
-// TestCrashDrillSIGKILL is the acceptance drill: a driver pushes
-// batches at a child daemon while the parent SIGKILLs it at three
-// traffic-triggered points (randomly jittered, so kills land mid
-// batch, inside the group-commit fsync window, and across the 25ms
-// background checkpoint cadence). After every restart the recovered
-// sequence frontier must cover every batch acknowledged before the
-// kill — zero acknowledged loss — and the final ledger must match a
-// sequential replay cost for cost, each batch applied exactly once.
+// TestCrashDrillSIGKILL is the acceptance drill: one driver per tenant
+// pushes serve and topology frames at a child daemon, concurrently, so
+// both tenants' records interleave in the one log, while the parent
+// SIGKILLs the child at three traffic-triggered points (randomly
+// jittered, so kills land mid batch, inside the group-commit fsync
+// window, and across the 25ms background checkpoint cadence). After
+// every restart each tenant's recovered sequence frontier must cover
+// every frame acknowledged before the kill — zero acknowledged loss —
+// and each final ledger must match a sequential replay cost for cost,
+// each frame applied exactly once.
 func TestCrashDrillSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec drill skipped in -short")
@@ -108,48 +110,66 @@ func TestCrashDrillSIGKILL(t *testing.T) {
 	admin := reserveAddr(t)
 	dir := t.TempDir()
 
-	const nBatches, batchLen = 240, 16
-	batches := walTestBatches(nBatches, batchLen)
+	const nFrames, batchLen = 240, 16
+	frames := walFleetFrames(nFrames, batchLen)
 	cmd := spawnCrashChild(t, addr, admin, dir)
 
-	// The driver retries hard enough to ride out every kill+restart
-	// window; acked counts batches whose durability ack arrived.
-	var acked atomic.Int64
-	driverErr := make(chan error, 1)
-	go func() {
-		cl := client.New(client.Config{
-			Addr:        addr,
-			Timeout:     500 * time.Millisecond,
-			MaxAttempts: 4000,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  25 * time.Millisecond,
-			Seed:        71,
-		})
-		defer cl.Close()
-		for i, b := range batches {
-			if err := cl.Serve(0, b); err != nil {
-				driverErr <- fmt.Errorf("batch %d: %w", i, err)
-				return
+	// The drivers retry hard enough to ride out every kill+restart
+	// window; acked[i] counts tenant i's frames whose durability ack
+	// arrived.
+	acked := make([]atomic.Int64, len(frames))
+	driverErr := make(chan error, len(frames))
+	for tenant := range frames {
+		go func(tenant int) {
+			cl := client.New(client.Config{
+				Addr:        addr,
+				Timeout:     500 * time.Millisecond,
+				MaxAttempts: 4000,
+				BaseBackoff: time.Millisecond,
+				MaxBackoff:  25 * time.Millisecond,
+				Seed:        int64(71 + tenant),
+			})
+			defer cl.Close()
+			for i, f := range frames[tenant] {
+				if err := send(cl, tenant, f); err != nil {
+					driverErr <- fmt.Errorf("tenant %d frame %d: %w", tenant, i, err)
+					return
+				}
+				acked[tenant].Add(1)
 			}
-			acked.Add(1)
+			driverErr <- nil
+		}(tenant)
+	}
+	total := func() (n int64) {
+		for i := range acked {
+			n += acked[i].Load()
 		}
-		driverErr <- nil
-	}()
+		return n
+	}
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	running := len(frames)
 	for round, frac := range []int64{1, 2, 3} {
-		threshold := frac * nBatches / 4
-		for acked.Load() < threshold {
+		threshold := frac * int64(len(frames)) * nFrames / 4
+		for total() < threshold {
 			select {
 			case err := <-driverErr:
-				t.Fatalf("driver finished before kill %d (acked %d): %v", round, acked.Load(), err)
+				if err != nil {
+					t.Fatalf("driver failed before kill %d: %v", round+1, err)
+				}
+				if running--; running == 0 {
+					t.Fatalf("drivers finished before kill %d (acked %d)", round+1, total())
+				}
 			case <-time.After(time.Millisecond):
 			}
 		}
 		// Jitter so the three kills land at different phases of the
 		// batch/fsync/checkpoint cycle.
 		time.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
-		ackedAtKill := acked.Load()
+		ackedAtKill := make([]int64, len(frames))
+		for i := range acked {
+			ackedAtKill[i] = acked[i].Load()
+		}
 		if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 			t.Fatalf("kill %d: %v", round, err)
 		}
@@ -157,23 +177,27 @@ func TestCrashDrillSIGKILL(t *testing.T) {
 		cmd = spawnCrashChild(t, addr, admin, dir)
 
 		probe := client.New(client.Config{Addr: addr, Seed: int64(80 + round), MaxAttempts: 200})
-		reply, err := probe.Stats(0)
+		for tenant, want := range ackedAtKill {
+			reply, err := probe.Stats(tenant)
+			if err != nil {
+				t.Fatalf("stats after restart %d: %v", round, err)
+			}
+			if int64(reply.LastSeq) < want {
+				t.Fatalf("restart %d lost tenant %d's acknowledged frames: LastSeq %d < %d acked at kill",
+					round, tenant, reply.LastSeq, want)
+			}
+			t.Logf("kill %d: tenant %d acked %d, recovered LastSeq %d", round+1, tenant, want, reply.LastSeq)
+		}
 		probe.Close()
-		if err != nil {
-			t.Fatalf("stats after restart %d: %v", round, err)
-		}
-		if int64(reply.LastSeq) < ackedAtKill {
-			t.Fatalf("restart %d lost acknowledged batches: LastSeq %d < %d acked at kill",
-				round, reply.LastSeq, ackedAtKill)
-		}
-		t.Logf("kill %d: acked %d, recovered LastSeq %d", round+1, ackedAtKill, reply.LastSeq)
 	}
 
-	if err := <-driverErr; err != nil {
-		t.Fatalf("driver: %v", err)
+	for ; running > 0; running-- {
+		if err := <-driverErr; err != nil {
+			t.Fatalf("driver: %v", err)
+		}
 	}
 	// One last hard kill with everything acknowledged, then the
-	// cost-for-cost verdict against a sequential oracle.
+	// cost-for-cost verdict against a sequential oracle per tenant.
 	_ = cmd.Process.Signal(syscall.SIGKILL)
 	_ = cmd.Wait()
 	cmd = spawnCrashChild(t, addr, admin, dir)
@@ -181,18 +205,7 @@ func TestCrashDrillSIGKILL(t *testing.T) {
 
 	cl := client.New(client.Config{Addr: addr, Seed: 99, MaxAttempts: 200})
 	defer cl.Close()
-	reply, err := cl.Stats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.LastSeq != nBatches {
-		t.Fatalf("final LastSeq %d, want %d", reply.LastSeq, nBatches)
-	}
-	ref := walOracle(batches, nBatches)
-	led := ref.Ledger()
-	if reply.Rounds != ref.Round() || reply.Serve != led.Serve || reply.Move != led.Move ||
-		reply.Fetched != led.Fetched || reply.Evicted != led.Evicted {
-		t.Fatalf("recovered ledger %+v != sequential oracle %+v (rounds %d vs %d)",
-			reply, led, reply.Rounds, ref.Round())
+	for tenant, tr := range walFleet() {
+		checkRecovered(t, cl, tenant, nFrames, frameOracle(tr, frames[tenant]))
 	}
 }

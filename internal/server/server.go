@@ -24,11 +24,13 @@
 //     applied batches without re-serving them, which makes client
 //     retransmission after a lost ack — or a daemon restart — safe.
 //   - Durable acks (WALDir set): every admitted frame is appended to
-//     the tenant's write-ahead log and the Ack is withheld until a
-//     group-commit fsync covers the record, so an acknowledged batch
-//     survives kill -9, OOM-kill or power loss. Recovery restores the
-//     last checkpoint and replays the WAL tail through the sequence
-//     table: duplicates are dropped, costs are committed exactly once,
+//     the daemon's one write-ahead log, shared by every tenant, and
+//     the Ack is withheld until a group-commit fsync covers the
+//     record, so an acknowledged batch survives kill -9, OOM-kill or
+//     power loss; one fsync covers every tenant's frames in flight.
+//     Recovery restores the last checkpoint and replays the log tail
+//     through the sequence table, routing each record to the tenant it
+//     names: duplicates are dropped, costs are committed exactly once,
 //     and a torn tail record truncates the log instead of failing
 //     startup. Checkpoints supersede the log prefix and truncate it,
 //     bounding recovery time. Without WALDir the ack remains an
@@ -40,7 +42,10 @@
 //     connections, drains every shard, checkpoints all shards plus the
 //     sequence table to the state directory at one consistency point,
 //     then closes the engine. New restores from that directory, so a
-//     SIGTERM-restart cycle loses nothing.
+//     SIGTERM-restart cycle loses nothing. Every durable checkpoint is
+//     the engine's verified capture (engine.Checkpoint): a blob that
+//     fails verification fails the checkpoint before anything on disk
+//     changes.
 //
 // Tenants map 1:1 onto engine shards (tenant i is served by shard i's
 // instance), the same convention as engine.SubmitMulti.
@@ -94,10 +99,11 @@ type Config struct {
 	// sequence table there as one atomic file, and Start restores from
 	// it. Empty disables checkpointing.
 	StateDir string
-	// WALDir enables the durable write-ahead log: one log per shard,
-	// every admitted frame appended and fsynced (group commit) before
-	// its ack. Usually the same directory as StateDir. Empty disables
-	// the WAL — acks then promise only in-memory application.
+	// WALDir enables the durable write-ahead log: one log,
+	// treecached.wal, shared by every tenant, with every admitted frame
+	// appended and fsynced (group commit) before its ack. Usually the
+	// same directory as StateDir. Empty disables the WAL — acks then
+	// promise only in-memory application.
 	WALDir string
 	// FsyncInterval is the WAL group-commit window: the first frame
 	// after an idle period waits this long so one fsync covers every
@@ -106,7 +112,7 @@ type Config struct {
 	// windows trade ack latency for fewer fsyncs.
 	FsyncInterval time.Duration
 	// CheckpointInterval, when positive with a StateDir, checkpoints
-	// periodically in the background, truncating the WALs and bounding
+	// periodically in the background, truncating the WAL and bounding
 	// both log growth and recovery replay time.
 	CheckpointInterval time.Duration
 	// Trees are the per-tenant rule trees; tenant i is served by a
@@ -139,8 +145,8 @@ type Config struct {
 }
 
 // tenantState serializes one tenant's admission path: the sequence
-// check, quota, WAL append and submit happen under mu, so a tenant's
-// batches enter the shard queue — and its WAL — in sequence order even
+// check, quota, submit and WAL append happen under mu, so a tenant's
+// batches enter the shard queue — and the log — in sequence order even
 // when several connections carry the same tenant.
 type tenantState struct {
 	mu      sync.Mutex
@@ -170,9 +176,13 @@ type Server struct {
 	tenants    []*tenantState
 	quo        *quotas
 
-	// wals is nil without a WALDir; otherwise one log per shard.
-	// replayed counts the records recovery applied per shard.
-	wals     []*wal.Log
+	// wal is nil without a WALDir; otherwise the daemon's one log,
+	// shared by every tenant. legacy lists the per-shard logs of the
+	// old layout that recovery replayed; the next committed checkpoint
+	// supersedes and deletes them. replayed counts the records recovery
+	// applied per tenant.
+	wal      *wal.Log
+	legacy   []string
 	replayed []int64
 	// ckpts counts durably committed checkpoints (atomic).
 	ckpts atomic.Int64
@@ -182,11 +192,11 @@ type Server struct {
 	adminLn net.Listener
 
 	// snapMu orders the world for checkpoints: every admission holds
-	// the read side end to end (sequence check, WAL append, submit,
+	// the read side end to end (sequence check, submit, WAL append,
 	// fsync wait), a checkpoint takes the write side and then drains,
-	// so shard instances are quiescent and the WAL has no in-flight
-	// appends when it is truncated. Lock order: snapMu before
-	// tenantState.mu, always.
+	// so every shard captures at one consistency point and the WAL has
+	// no in-flight appends when it is truncated. Lock order: snapMu
+	// before tenantState.mu, always.
 	snapMu sync.RWMutex
 
 	connMu sync.Mutex
@@ -198,9 +208,8 @@ type Server struct {
 	wg       sync.WaitGroup
 	ckptStop chan struct{}
 	ckptDone chan struct{}
-	shutOnce sync.Once
-	shutErr  error
-	killOnce sync.Once
+	stopOnce sync.Once
+	stopErr  error
 }
 
 // Retry hints, nanoseconds: how long a client should back off when
@@ -289,12 +298,10 @@ func (s *Server) Start() error {
 
 // restore rebuilds every shard from the last durable state: the
 // checkpoint file (shard snapshots + sequence table at one consistency
-// point), then each shard's WAL tail replayed through the sequence
-// table — records at or below the checkpointed sequence are dropped as
-// duplicates, the rest applied exactly once, in order. The replay runs
-// on the raw instances before the engine exists: engine workers
-// capture a supervision snapshot at construction, which must already
-// include the replayed state.
+// point), then the write-ahead log replayed through the sequence
+// table. The replay runs on the raw instances before the engine
+// exists: engine workers capture a supervision snapshot at
+// construction, which must already include the replayed state.
 func (s *Server) restore() error {
 	shards := len(s.cfg.Trees)
 	blobs := make([][]byte, shards)
@@ -308,41 +315,25 @@ func (s *Server) restore() error {
 			return fmt.Errorf("server: state dir: %w", err)
 		}
 	}
-	if s.cfg.WALDir != "" {
-		if err := os.MkdirAll(s.cfg.WALDir, 0o755); err != nil {
-			return fmt.Errorf("server: wal dir: %w", err)
-		}
-		s.wals = make([]*wal.Log, shards)
-	}
+	mtcs := make([]*core.MutableTC, shards)
 	for i, t := range s.cfg.Trees {
-		var mtc *core.MutableTC
-		if blobs[i] != nil {
-			var err error
-			if mtc, err = snapshot.Restore(blobs[i]); err != nil {
-				return fmt.Errorf("server: shard %d: restore: %w", i, err)
-			}
-		} else {
-			mtc = core.NewMutable(t, core.MutableConfig{
+		if blobs[i] == nil {
+			mtcs[i] = core.NewMutable(t, core.MutableConfig{
 				Config: core.Config{Alpha: s.cfg.Alpha, Capacity: s.cfg.Capacity},
 			})
+			continue
 		}
-		lastSeq := seqs[i]
-		if s.wals != nil {
-			l, recs, err := wal.Open(shardWALPath(s.cfg.WALDir, i), wal.Options{
-				SyncInterval: s.cfg.FsyncInterval,
-				MaxRecord:    s.cfg.MaxFrame + 1,
-			})
-			if err != nil {
-				return fmt.Errorf("server: shard %d: wal: %w", i, err)
-			}
-			s.wals[i] = l
-			applied, newLast, err := replayWAL(mtc, i, recs, lastSeq)
-			if err != nil {
-				return fmt.Errorf("server: shard %d: wal replay: %w", i, err)
-			}
-			s.replayed[i] = applied
-			lastSeq = newLast
+		var err error
+		if mtcs[i], err = snapshot.Restore(blobs[i]); err != nil {
+			return fmt.Errorf("server: shard %d: restore: %w", i, err)
 		}
+	}
+	if s.cfg.WALDir != "" {
+		if err := s.openWAL(mtcs, seqs); err != nil {
+			return err
+		}
+	}
+	for i, mtc := range mtcs {
 		// The recovery frontier — checkpoint plus replayed tail — is
 		// the stats base; the engine counts from zero on top of it.
 		s.base[i] = mtc.Ledger()
@@ -352,7 +343,7 @@ func (s *Server) restore() error {
 			algo = s.cfg.Wrap(i, algo)
 		}
 		s.algos[i] = algo
-		s.tenants[i] = &tenantState{lastSeq: lastSeq}
+		s.tenants[i] = &tenantState{lastSeq: seqs[i]}
 	}
 	eng := engine.New(engine.Config{
 		Shards:          shards,
@@ -364,57 +355,95 @@ func (s *Server) restore() error {
 	return nil
 }
 
-// replayWAL applies one shard's recovered records on top of its
-// restored state. Records at or below lastSeq were already covered by
-// the checkpoint and are skipped; the remainder must continue the
-// sequence gaplessly (the WAL is written in admission order, and
-// recovery only ever truncates its tail). Topology messages go through
-// engine.ApplyMutations, the rule the live engine applied them with.
-func replayWAL(mtc *core.MutableTC, tenant int, recs [][]byte, lastSeq uint64) (applied int64, newLast uint64, err error) {
+// openWAL opens the daemon's log and replays it onto the restored
+// shards, advancing seqs. Logs of the per-shard layout (shard-*.wal)
+// are replayed first, through the same pass: their records name their
+// tenant too, and they predate everything in the daemon's log.
+func (s *Server) openWAL(mtcs []*core.MutableTC, seqs []uint64) error {
+	dir := s.cfg.WALDir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("server: wal dir: %w", err)
+	}
+	legacy, err := filepath.Glob(filepath.Join(dir, legacyWALGlob))
+	if err != nil {
+		return fmt.Errorf("server: wal: %w", err)
+	}
+	var recs [][]byte
+	for _, path := range legacy {
+		r, err := wal.Read(path, s.cfg.MaxFrame+1)
+		if err != nil {
+			return fmt.Errorf("server: wal: %w", err)
+		}
+		recs = append(recs, r...)
+	}
+	l, tail, err := wal.Open(filepath.Join(dir, walFile), wal.Options{
+		SyncInterval: s.cfg.FsyncInterval,
+		MaxRecord:    s.cfg.MaxFrame + 1,
+	})
+	if err != nil {
+		return fmt.Errorf("server: wal: %w", err)
+	}
+	if err := replayWAL(mtcs, append(recs, tail...), seqs, s.replayed); err != nil {
+		l.Close()
+		return fmt.Errorf("server: wal replay: %w", err)
+	}
+	s.wal, s.legacy = l, legacy
+	return nil
+}
+
+// replayWAL applies recovered log records on top of the restored
+// shards, routing each to the tenant its wire payload names. Records
+// at or below the tenant's lastSeq were already covered by the
+// checkpoint and are skipped; the remainder must continue the tenant's
+// sequence gaplessly (admission appends a tenant's records in sequence
+// order under its lock, and recovery only ever truncates the log's
+// tail). Topology messages go through engine.ApplyMutations, the rule
+// the live engine applied them with. lastSeq advances in place;
+// applied counts the records applied per tenant.
+func replayWAL(mtcs []*core.MutableTC, recs [][]byte, lastSeq []uint64, applied []int64) error {
 	for n, rec := range recs {
 		if len(rec) < 1 {
-			return applied, lastSeq, fmt.Errorf("record %d: empty", n)
+			return fmt.Errorf("record %d: empty", n)
 		}
 		kind, payload := rec[0], rec[1:]
+		var tenant int
 		var seq uint64
 		var serve wire.Serve
 		var topo wire.Topo
+		var err error
 		switch kind {
 		case walRecServe:
 			if serve, err = wire.DecodeServe(payload); err != nil {
-				return applied, lastSeq, fmt.Errorf("record %d: %w", n, err)
+				return fmt.Errorf("record %d: %w", n, err)
 			}
-			seq = serve.Seq
-			if serve.Tenant != tenant {
-				return applied, lastSeq, fmt.Errorf("record %d: tenant %d in shard %d's log", n, serve.Tenant, tenant)
-			}
+			tenant, seq = serve.Tenant, serve.Seq
 		case walRecTopo:
 			if topo, err = wire.DecodeTopo(payload); err != nil {
-				return applied, lastSeq, fmt.Errorf("record %d: %w", n, err)
+				return fmt.Errorf("record %d: %w", n, err)
 			}
-			seq = topo.Seq
-			if topo.Tenant != tenant {
-				return applied, lastSeq, fmt.Errorf("record %d: tenant %d in shard %d's log", n, topo.Tenant, tenant)
-			}
+			tenant, seq = topo.Tenant, topo.Seq
 		default:
-			return applied, lastSeq, fmt.Errorf("record %d: unknown kind %d", n, kind)
+			return fmt.Errorf("record %d: unknown kind %d", n, kind)
 		}
-		if seq <= lastSeq {
+		if tenant < 0 || tenant >= len(mtcs) {
+			return fmt.Errorf("record %d: tenant %d out of range [0,%d)", n, tenant, len(mtcs))
+		}
+		if seq <= lastSeq[tenant] {
 			continue // superseded by the checkpoint
 		}
-		if seq != lastSeq+1 {
-			return applied, lastSeq, fmt.Errorf("record %d: sequence gap: got %d, expected %d", n, seq, lastSeq+1)
+		if seq != lastSeq[tenant]+1 {
+			return fmt.Errorf("record %d: tenant %d sequence gap: got %d, expected %d", n, tenant, seq, lastSeq[tenant]+1)
 		}
 		switch kind {
 		case walRecServe:
-			mtc.ServeBatch(serve.Batch)
+			mtcs[tenant].ServeBatch(serve.Batch)
 		case walRecTopo:
-			engine.ApplyMutations(mtc, topo.Muts)
+			engine.ApplyMutations(mtcs[tenant], topo.Muts)
 		}
-		lastSeq = seq
-		applied++
+		lastSeq[tenant] = seq
+		applied[tenant]++
 	}
-	return applied, lastSeq, nil
+	return nil
 }
 
 // Addr returns the wire listener's address (useful with ":0").
@@ -441,7 +470,7 @@ func (s *Server) Engine() *engine.Engine { return s.engine() }
 // while the daemon is quiescent (after Shutdown).
 func (s *Server) Algorithm(i int) Algo { return s.algos[i] }
 
-// Replayed returns how many WAL records recovery applied to shard i
+// Replayed returns how many WAL records recovery applied to tenant i
 // (beyond the checkpoint) during Start.
 func (s *Server) Replayed(i int) int64 { return s.replayed[i] }
 
@@ -487,11 +516,22 @@ func (s *Server) adminMux() *http.ServeMux {
 
 // Shutdown is the graceful drain: withdraw readiness, stop accepting,
 // close client connections, drain every shard, checkpoint all state,
-// close the WALs and the engine. Idempotent; later calls return the
-// first result. The context bounds only the admin server's shutdown —
-// drain itself must finish, or restart would lose acknowledged work.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.shutOnce.Do(func() {
+// close the WAL and the engine. Shutdown and Kill share one teardown
+// that runs once; later calls of either return the first result. The
+// context bounds only the admin server's shutdown — drain itself must
+// finish, or restart would lose acknowledged work.
+func (s *Server) Shutdown(ctx context.Context) error { return s.stop(ctx, true) }
+
+// Kill crashes the daemon from inside the process: listeners and
+// connections close, in-flight handlers unwind, the WAL drops without
+// its final fsync, and nothing is checkpointed. It is the in-process
+// analogue of kill -9 for crash-recovery tests — state on disk is
+// exactly what the durability machinery made of it, no more.
+func (s *Server) Kill() { s.stop(context.Background(), false) }
+
+// stop is the one teardown behind Shutdown (graceful) and Kill.
+func (s *Server) stop(ctx context.Context, graceful bool) error {
+	s.stopOnce.Do(func() {
 		s.draining.Store(true)
 		s.ready.Store(false)
 		if s.ckptStop != nil {
@@ -509,15 +549,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.connMu.Unlock()
 		if s.admin != nil {
-			s.shutErr = s.admin.Shutdown(ctx)
+			if graceful {
+				s.stopErr = s.admin.Shutdown(ctx)
+			} else {
+				s.admin.Close()
+			}
+		}
+		if !graceful && s.wal != nil {
+			// Kill the WAL first so handlers blocked in Wait unwind with
+			// an error instead of a durability promise.
+			s.wal.Kill()
 		}
 		s.wg.Wait()
-		if err := s.checkpoint(); err != nil && s.shutErr == nil {
-			s.shutErr = err
-		}
-		for _, l := range s.wals {
-			if err := l.Close(); err != nil && s.shutErr == nil {
-				s.shutErr = err
+		if graceful {
+			if err := s.checkpoint(); err != nil && s.stopErr == nil {
+				s.stopErr = err
+			}
+			if s.wal != nil {
+				if err := s.wal.Close(); err != nil && s.stopErr == nil {
+					s.stopErr = err
+				}
 			}
 		}
 		if eng := s.engine(); eng != nil {
@@ -525,47 +576,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.closed.Store(true)
 	})
-	return s.shutErr
+	return s.stopErr
 }
 
-// Kill crashes the daemon from inside the process: listeners and
-// connections close, in-flight handlers unwind, the WALs drop without
-// their final fsync, and nothing is checkpointed. It is the in-process
-// analogue of kill -9 for crash-recovery tests — state on disk is
-// exactly what the durability machinery made of it, no more.
-func (s *Server) Kill() {
-	s.killOnce.Do(func() {
-		s.draining.Store(true)
-		s.ready.Store(false)
-		if s.ckptStop != nil {
-			close(s.ckptStop)
-			<-s.ckptDone
-		}
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		s.connMu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.connMu.Unlock()
-		if s.admin != nil {
-			s.admin.Close()
-		}
-		// Kill the WALs first so handlers blocked in Wait unwind with
-		// an error instead of a durability promise.
-		for _, l := range s.wals {
-			l.Kill()
-		}
-		s.wg.Wait()
-		if eng := s.engine(); eng != nil {
-			eng.Close()
-		}
-		s.closed.Store(true)
-	})
-}
-
-// checkpointLoop checkpoints periodically, truncating the WALs each
+// checkpointLoop checkpoints periodically, truncating the WAL each
 // time so recovery replay stays bounded.
 func (s *Server) checkpointLoop() {
 	defer close(s.ckptDone)
@@ -584,28 +598,24 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// checkpoint drains the engine at a submission-quiescent point and
-// persists every shard snapshot plus the sequence table as ONE
-// durably-committed file, then truncates the WALs the checkpoint
-// supersedes. No-op without a state directory.
+// checkpoint persists every shard's verified capture plus the sequence
+// table as ONE durably-committed file, then truncates the WAL the
+// checkpoint supersedes and deletes the per-shard logs recovery
+// replayed. A failed or rejected capture fails the checkpoint before
+// anything on disk changes. No-op without a state directory.
 func (s *Server) checkpoint() error {
 	if s.cfg.StateDir == "" {
 		return nil
 	}
 	// The write lock excludes every admission end to end (including
-	// WAL appends and fsync waits), so after Drain the shard queues
-	// are empty and stay empty: the instances are quiescent and safe
-	// to Snapshot, and the WALs have no in-flight appends.
+	// WAL appends and fsync waits), so the engine's Checkpoint drains
+	// queues that stay empty — every shard captures at one consistency
+	// point — and the WAL has no in-flight appends.
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	s.engine().Drain()
-	blobs := make([][]byte, len(s.algos))
-	for i, algo := range s.algos {
-		blob, err := algo.Snapshot()
-		if err != nil {
-			return fmt.Errorf("server: shard %d: snapshot: %w", i, err)
-		}
-		blobs[i] = blob
+	blobs, err := s.engine().Checkpoint()
+	if err != nil {
+		return fmt.Errorf("server: checkpoint: %w", err)
 	}
 	seqs := make([]uint64, len(s.tenants))
 	for i, t := range s.tenants {
@@ -618,15 +628,22 @@ func (s *Server) checkpoint() error {
 		return fmt.Errorf("server: checkpoint: %w", err)
 	}
 	// The checkpoint is durably committed: every WAL record is now
-	// superseded, so the logs truncate. A crash between the rename and
+	// superseded, so the log truncates. A crash between the rename and
 	// here replays the full old log against the new sequence table —
-	// every record a duplicate, every duplicate dropped.
-	for i, l := range s.wals {
-		if err := l.Reset(); err != nil {
-			return fmt.Errorf("server: shard %d: wal truncate: %w", i, err)
+	// every record a duplicate, every duplicate dropped. The same holds
+	// for a deleted per-shard log that reappears after a crash.
+	if s.wal != nil {
+		if err := s.wal.Reset(); err != nil {
+			return fmt.Errorf("server: wal truncate: %w", err)
 		}
 	}
 	s.ckpts.Add(1)
+	for len(s.legacy) > 0 {
+		if err := os.Remove(s.legacy[0]); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("server: remove superseded log: %w", err)
+		}
+		s.legacy = s.legacy[1:]
+	}
 	return nil
 }
 
@@ -740,9 +757,9 @@ func (s *Server) dispatch(f wire.Frame) (wire.Type, []byte) {
 //   - If the fsync fails the log is poisoned: the batch was applied in
 //     memory, so lastSeq advances (a retransmission must not double-
 //     apply), but the client gets an error, not an ack — no durability
-//     promise is made. All later admissions fail fast on the poisoned
-//     log until an operator restarts the daemon, which recovers from
-//     what actually reached the disk.
+//     promise is made. All later admissions, of every tenant, fail fast
+//     on the poisoned log until an operator restarts the daemon, which
+//     recovers from what actually reached the disk.
 func (s *Server) admit(tenant int, seq uint64, n int, kind byte, payload []byte, submit func() error) (wire.Type, []byte) {
 	if tenant < 0 || tenant >= len(s.tenants) {
 		return wire.TError, wire.ErrMsg{Msg: fmt.Sprintf("server: tenant %d out of range [0,%d)", tenant, len(s.tenants))}.Encode()
@@ -759,10 +776,8 @@ func (s *Server) admit(tenant int, seq uint64, n int, kind byte, payload []byte,
 	t := s.tenants[tenant]
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var l *wal.Log
-	if s.wals != nil {
-		l = s.wals[tenant]
-		if err := l.Err(); err != nil {
+	if s.wal != nil {
+		if err := s.wal.Err(); err != nil {
 			// Poisoned: no durability promises of any kind, duplicate
 			// acks included.
 			return wire.TError, wire.ErrMsg{Msg: err.Error()}.Encode()
@@ -799,13 +814,13 @@ func (s *Server) admit(tenant int, seq uint64, n int, kind byte, payload []byte,
 		s.quo.refund(tenant, n)
 		return wire.TError, wire.ErrMsg{Msg: err.Error()}.Encode()
 	}
-	if l != nil {
+	if s.wal != nil {
 		rec := make([]byte, 0, 1+len(payload))
 		rec = append(rec, kind)
 		rec = append(rec, payload...)
-		lsn, err := l.Append(rec)
+		lsn, err := s.wal.Append(rec)
 		if err == nil {
-			err = l.Wait(lsn)
+			err = s.wal.Wait(lsn)
 		}
 		if err != nil {
 			// Applied in memory, not durable: advance the sequence (a

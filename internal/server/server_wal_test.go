@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -15,19 +16,31 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/tree"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // walTestTree and the generated workload are shared by every WAL
-// recovery test: one tenant, deterministic Zipf batches.
+// recovery test: deterministic Zipf batches.
 func walTestTree() *tree.Tree { return tree.CompleteKary(63, 2) }
 
-func walTestBatches(n, batchLen int) []trace.Trace {
-	rng := rand.New(rand.NewSource(7))
-	input := trace.ZipfNodes(rng, walTestTree(), n*batchLen, 1.1)
+// walFleet is the two-tenant fleet of the multi-tenant WAL tests.
+// Tenant 1's tree differs from tenant 0's, so a record replayed onto
+// the wrong tenant cannot go unnoticed.
+func walFleet() []*tree.Tree { return []*tree.Tree{walTestTree(), tree.CompleteKary(31, 2)} }
+
+func walTestBatches(n, batchLen int) []trace.Trace { return zipfBatches(walTestTree(), 7, n, batchLen) }
+
+// zipfBatches cuts n batches of batchLen Zipf requests over tr.
+func zipfBatches(tr *tree.Tree, seed int64, n, batchLen int) []trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	input := trace.ZipfNodes(rng, tr, n*batchLen, 1.1)
 	batches := make([]trace.Trace, n)
 	for i := range batches {
 		batches[i] = input[i*batchLen : (i+1)*batchLen]
@@ -47,6 +60,76 @@ func walOracle(batches []trace.Trace, n int) *core.MutableTC {
 		}
 	}
 	return ref
+}
+
+// walFrame is one sequenced message of a tenant's stream: a serve
+// batch, or a topology frame when muts is set.
+type walFrame struct {
+	batch trace.Trace
+	muts  []trace.Mutation
+}
+
+// walFleetFrames builds n frames per tenant of walFleet: Zipf serve
+// batches, with every fourth frame a topology frame attaching a fresh
+// leaf that every later batch of the tenant requests.
+func walFleetFrames(n, batchLen int) [][]walFrame {
+	fleet := walFleet()
+	out := make([][]walFrame, len(fleet))
+	for i, tr := range fleet {
+		batches := zipfBatches(tr, int64(7+i), n, batchLen)
+		leaf := tree.None
+		for j := 0; j < n; j++ {
+			if j%4 == 3 {
+				leaf = tree.NodeID(tr.Len() + j/4)
+				out[i] = append(out[i], walFrame{muts: []trace.Mutation{trace.InsertMut(leaf, tree.NodeID(j%tr.Len()))}})
+				continue
+			}
+			b := batches[j]
+			if leaf != tree.None {
+				b = append(append(trace.Trace(nil), b...), trace.Pos(leaf))
+			}
+			out[i] = append(out[i], walFrame{batch: b})
+		}
+	}
+	return out
+}
+
+// frameOracle applies frames sequentially to a fresh instance over tr,
+// topology frames with the engine's mutation rule.
+func frameOracle(tr *tree.Tree, frames []walFrame) *core.MutableTC {
+	ref := core.NewMutable(tr, core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 16}})
+	for _, f := range frames {
+		if f.muts != nil {
+			engine.ApplyMutations(ref, f.muts)
+			continue
+		}
+		ref.ServeBatch(f.batch)
+	}
+	return ref
+}
+
+// send drives one frame of tenant's stream to its ack.
+func send(cl *client.Client, tenant int, f walFrame) error {
+	if f.muts != nil {
+		return cl.ApplyTopology(tenant, f.muts)
+	}
+	return cl.Serve(tenant, f.batch)
+}
+
+// checkRecovered fails the test unless the daemon reports tenant at
+// sequence frontier lastSeq with ref's ledger, cost for cost.
+func checkRecovered(t *testing.T, cl *client.Client, tenant int, lastSeq uint64, ref *core.MutableTC) {
+	t.Helper()
+	reply, err := cl.Stats(tenant)
+	if err != nil {
+		t.Fatalf("stats(%d): %v", tenant, err)
+	}
+	led := ref.Ledger()
+	if reply.LastSeq != lastSeq || reply.Rounds != ref.Round() || reply.Serve != led.Serve ||
+		reply.Move != led.Move || reply.Fetched != led.Fetched || reply.Evicted != led.Evicted {
+		t.Fatalf("tenant %d recovered %+v, want LastSeq %d and sequential ledger %+v (rounds %d)",
+			tenant, reply, lastSeq, led, ref.Round())
+	}
 }
 
 func walServerConfig(addr, dir string) server.Config {
@@ -152,7 +235,7 @@ func TestServerWALCheckpointRotation(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	walPath := filepath.Join(dir, "shard-0000.wal")
+	walPath := filepath.Join(dir, "treecached.wal")
 	if st, err := os.Stat(walPath); err != nil || st.Size() == 0 {
 		t.Fatalf("wal before checkpoint: %v, size 0", err)
 	}
@@ -210,7 +293,7 @@ func TestServerWALTornTail(t *testing.T) {
 	cl.Close()
 	srv.Kill()
 
-	walPath := filepath.Join(dir, "shard-0000.wal")
+	walPath := filepath.Join(dir, "treecached.wal")
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +409,7 @@ func TestServerWALMetricsAndReadyz(t *testing.T) {
 		t.Fatalf("/metrics: %d", code)
 	}
 	for _, family := range []string{
-		"treecache_wal_records_total{shard=\"0\"} 4",
+		"treecache_wal_records_total{log=\"treecached.wal\"} 4",
 		"treecache_wal_fsyncs_total",
 		"treecache_wal_fsync_latency_ns_bucket",
 		"treecache_wal_replayed_records",
@@ -485,5 +568,215 @@ func shutdownServer(t *testing.T, srv *server.Server) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestServerWALMultiTenantRecovery: two tenants share the one log.
+// Their serve and topology frames interleave in it, a checkpoint lands
+// mid-stream, and after a hard kill the restarted daemon must route
+// every record back to the tenant it names: each tenant recovers its
+// sequence frontier and a ledger equal to its own sequential replay.
+func TestServerWALMultiTenantRecovery(t *testing.T) {
+	addr := reserveAddr(t)
+	dir := t.TempDir()
+	const n, ckptAt = 24, 10
+	frames := walFleetFrames(n, 16)
+	cfg := walServerConfig(addr, dir)
+	cfg.Trees = walFleet()
+
+	srv := startServer(t, cfg)
+	cl := client.New(client.Config{Addr: addr, Seed: 71})
+	for j := 0; j < n; j++ {
+		if j == ckptAt {
+			if err := cl.Snapshot(); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		}
+		for tenant := range frames {
+			if err := send(cl, tenant, frames[tenant][j]); err != nil {
+				t.Fatalf("tenant %d frame %d: %v", tenant, j, err)
+			}
+		}
+	}
+	cl.Close()
+	srv.Kill()
+	if logs, _ := filepath.Glob(filepath.Join(dir, "*.wal")); len(logs) != 1 || filepath.Base(logs[0]) != "treecached.wal" {
+		t.Fatalf("logs on disk %v, want only treecached.wal", logs)
+	}
+
+	srv2 := startServer(t, cfg)
+	defer shutdownServer(t, srv2)
+	cl2 := client.New(client.Config{Addr: addr, Seed: 72})
+	defer cl2.Close()
+	for tenant, tr := range cfg.Trees {
+		if got := srv2.Replayed(tenant); got != n-ckptAt {
+			t.Fatalf("tenant %d: replayed %d records, want %d", tenant, got, n-ckptAt)
+		}
+		checkRecovered(t, cl2, tenant, n, frameOracle(tr, frames[tenant]))
+	}
+}
+
+// TestServerCheckpointRejectsCorruptCapture: a durable checkpoint
+// commits only blobs that passed the engine's verification. A corrupted
+// capture must fail the TSnapshot before checkpoint.tcckpt is written
+// or the log truncated, so a kill afterwards still recovers every
+// acknowledged batch from the log. Committing the blob unverified
+// instead would leave a checkpoint that cannot be restored, next to a
+// truncated log: every acknowledged batch lost.
+func TestServerCheckpointRejectsCorruptCapture(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		checkpointEvery int
+		// corruptAt is the capture the fault corrupts, counted from
+		// boot: a supervised shard takes capture 1 at construction.
+		corruptAt int
+	}{
+		{"unsupervised", -1, 1},
+		{"supervised", 64, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := reserveAddr(t)
+			dir := t.TempDir()
+			const nBatches = 20
+			batches := walTestBatches(nBatches, 16)
+			inj := faultinject.NewInjector()
+			inj.Arm(faultinject.Checkpoint, tc.corruptAt)
+			cfg := walServerConfig(addr, dir)
+			cfg.CheckpointEvery = tc.checkpointEvery
+			cfg.Wrap = func(_ int, algo server.Algo) server.Algo { return faultinject.Wrap(algo, inj) }
+
+			srv := startServer(t, cfg)
+			cl := client.New(client.Config{Addr: addr, Seed: 81})
+			for i, b := range batches {
+				if err := cl.Serve(0, b); err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+			}
+			walPath := filepath.Join(dir, "treecached.wal")
+			before, err := os.Stat(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Snapshot(); err == nil {
+				t.Fatal("checkpoint of a corrupted capture succeeded")
+			}
+			cl.Close()
+			if inj.Fired(faultinject.Checkpoint) != 1 {
+				t.Fatalf("corrupt-capture fault fired %d times, want 1", inj.Fired(faultinject.Checkpoint))
+			}
+			if _, err := os.Stat(filepath.Join(dir, "checkpoint.tcckpt")); !os.IsNotExist(err) {
+				t.Fatalf("rejected checkpoint reached the disk: %v", err)
+			}
+			if after, err := os.Stat(walPath); err != nil || after.Size() != before.Size() {
+				t.Fatalf("rejected checkpoint truncated the log: %v", err)
+			}
+			srv.Kill()
+
+			cfg.Wrap = nil
+			srv2 := startServer(t, cfg)
+			defer shutdownServer(t, srv2)
+			cl2 := client.New(client.Config{Addr: addr, Seed: 82})
+			defer cl2.Close()
+			checkRecovered(t, cl2, 0, nBatches, walOracle(batches, nBatches))
+		})
+	}
+}
+
+// TestServerWALLegacyLayout: a state dir of the per-shard layout — a
+// checkpoint plus one shard-NNNN.wal per tenant, the logs holding
+// records the checkpoint already covers — recovers under the one-log
+// daemon. The legacy logs replay before treecached.wal, survive until a
+// checkpoint supersedes them, and are deleted by it.
+func TestServerWALLegacyLayout(t *testing.T) {
+	addr := reserveAddr(t)
+	dir := t.TempDir()
+	fleet := walFleet()
+	const n = 12
+	frames := walFleetFrames(n+1, 16)
+	covered := []int{5, 3} // per-tenant sequence frontier of the checkpoint
+
+	blobs := make([][]byte, len(fleet))
+	seqs := make([]uint64, len(fleet))
+	var legacy []string
+	for i, tr := range fleet {
+		blob, err := snapshot.Capture(frameOracle(tr, frames[i][:covered[i]]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[i], seqs[i] = blob, uint64(covered[i])
+		// The per-shard layout's records: a kind byte (1 serve, 2
+		// topology) ahead of the raw wire payload.
+		var img []byte
+		for j, f := range frames[i][:n] {
+			var rec []byte
+			if f.muts != nil {
+				rec = append([]byte{2}, wire.Topo{Tenant: i, Seq: uint64(j + 1), Muts: f.muts}.Encode()...)
+			} else {
+				rec = append([]byte{1}, wire.Serve{Tenant: i, Seq: uint64(j + 1), Batch: f.batch}.Encode()...)
+			}
+			img = wal.AppendRecord(img, rec)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", i))
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		legacy = append(legacy, path)
+	}
+	if err := server.WriteCheckpoint(dir, blobs, seqs); err != nil {
+		t.Fatal(err)
+	}
+	cfg := walServerConfig(addr, dir)
+	cfg.Trees = fleet
+
+	// Life 1 recovers the legacy layout and logs one more frame per
+	// tenant, into treecached.wal; life 2 must replay the legacy logs
+	// first and the daemon's log after them.
+	srv := startServer(t, cfg)
+	cl := client.New(client.Config{Addr: addr, Seed: 91})
+	for i, tr := range fleet {
+		if got := srv.Replayed(i); got != int64(n-covered[i]) {
+			t.Fatalf("tenant %d: replayed %d records, want %d", i, got, n-covered[i])
+		}
+		checkRecovered(t, cl, i, n, frameOracle(tr, frames[i][:n]))
+		if err := cl.Resume(i); err != nil {
+			t.Fatal(err)
+		}
+		if err := send(cl, i, frames[i][n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+	srv.Kill()
+
+	srv = startServer(t, cfg)
+	cl = client.New(client.Config{Addr: addr, Seed: 92})
+	for i, tr := range fleet {
+		if got := srv.Replayed(i); got != int64(n+1-covered[i]) {
+			t.Fatalf("restart: tenant %d replayed %d records, want %d", i, got, n+1-covered[i])
+		}
+		checkRecovered(t, cl, i, n+1, frameOracle(tr, frames[i]))
+	}
+	for _, path := range legacy {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("legacy log gone before a checkpoint superseded it: %v", err)
+		}
+	}
+	if err := cl.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range legacy {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("checkpoint left the superseded %s: %v", filepath.Base(path), err)
+		}
+	}
+	cl.Close()
+	srv.Kill()
+
+	srv = startServer(t, cfg)
+	defer shutdownServer(t, srv)
+	cl = client.New(client.Config{Addr: addr, Seed: 93})
+	defer cl.Close()
+	for i, tr := range fleet {
+		checkRecovered(t, cl, i, n+1, frameOracle(tr, frames[i]))
 	}
 }

@@ -13,13 +13,15 @@ import (
 // holding every shard's snapshot blob plus the sequence table (the
 // per-tenant highest applied batch sequence number), taken at one
 // engine-quiescent consistency point and committed by one atomic
-// rename. The single commit point is what makes WAL recovery sound: a
-// crash mid-checkpoint leaves either the old file (old snapshots + old
-// seqs + the full WAL to replay) or the new one (new snapshots + new
-// seqs; stale WAL records are dropped as duplicates by the sequence
-// table) — never shard snapshots from one checkpoint paired with a
-// sequence table from another, which would double-apply replayed
-// records against the cumulative cost ledger.
+// rename. Each blob is the engine's verified capture
+// (engine.Checkpoint), never an unverified Snapshot. The single commit
+// point is what makes WAL recovery sound: a crash mid-checkpoint
+// leaves either the old file (old snapshots + old seqs + the full WAL
+// to replay) or the new one (new snapshots + new seqs; stale WAL
+// records are dropped as duplicates by the sequence table) — never
+// shard snapshots from one checkpoint paired with a sequence table from
+// another, which would double-apply replayed records against the
+// cumulative cost ledger.
 //
 // File format:
 //
@@ -36,24 +38,26 @@ import (
 // crashes — the journal can replay the rename before the data blocks
 // reach the disk, leaving a zero-length or garbage "checkpoint".
 //
-// Next to the checkpoint live the per-shard write-ahead logs,
-// shard-%04d.wal (see internal/wal), holding every admitted frame
-// since the checkpoint that superseded their predecessors.
+// Next to the checkpoint lives the daemon's one write-ahead log,
+// treecached.wal (see internal/wal), holding every tenant's admitted
+// frames since the last checkpoint, interleaved in admission order;
+// each record names its tenant. State dirs of the per-shard layout
+// also hold shard-NNNN.wal, one log per tenant: recovery replays them
+// before treecached.wal, and the next committed checkpoint deletes
+// them.
 
 const (
 	ckptFile    = "checkpoint.tcckpt"
 	ckptVersion = 1
+	walFile     = "treecached.wal"
+	// legacyWALGlob matches the logs of the per-shard layout.
+	legacyWALGlob = "shard-*.wal"
 )
 
 var ckptMagic = [6]byte{'T', 'C', 'C', 'K', 'P', 'T'}
 
 // errCkptFormat reports a corrupt checkpoint file.
 var errCkptFormat = errors.New("server: malformed checkpoint")
-
-// shardWALPath names shard i's write-ahead log inside dir.
-func shardWALPath(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", shard))
-}
 
 // writeFileDurable writes data to path crash-durably: temp file, fsync
 // the temp (data blocks reach disk before the rename can be

@@ -1,9 +1,11 @@
-// Package wal implements the durable per-shard write-ahead log behind
-// treecached's ack-is-a-durability-promise contract. The daemon appends
-// every admitted frame as a checksummed record and withholds the
-// client's Ack until the record is covered by an fsync; recovery after
-// a hard crash (kill -9, OOM-kill, power loss) replays the log tail on
-// top of the last checkpoint, so an acknowledged batch is never lost.
+// Package wal implements the durable write-ahead log behind
+// treecached's ack-is-a-durability-promise contract. The daemon keeps
+// one log for every tenant: it appends each admitted frame as a
+// checksummed record and withholds the client's Ack until the record
+// is covered by an fsync, so one group-commit fsync covers every
+// tenant's frames in flight. Recovery after a hard crash (kill -9,
+// OOM-kill, power loss) replays the log tail on top of the last
+// checkpoint, so an acknowledged batch is never lost.
 //
 // Record format, repeated back to back in one append-only file:
 //
@@ -25,8 +27,9 @@
 //   - An fsync failure poisons the log: the failed range's durability
 //     is unknown (the kernel may have dropped the dirty pages), so
 //     every pending and future Wait/Append fails loudly instead of
-//     pretending. A poisoned daemon keeps refusing writes until it is
-//     restarted and recovers from what actually reached the disk.
+//     pretending. A poisoned daemon keeps refusing writes, for every
+//     tenant, until it is restarted and recovers from what actually
+//     reached the disk.
 //
 // Recovery model (Open): the file is scanned record by record; the
 // first record that is short, has an impossible length, or fails its
@@ -213,6 +216,21 @@ func scan(data []byte, maxRecord int) (recs [][]byte, valid int64) {
 		recs = append(recs, append([]byte(nil), payload...))
 		off += headerLen + n
 	}
+}
+
+// Read returns the valid record prefix of the log at path without
+// opening it for append: no syncer starts and a torn tail stays on
+// disk. treecached replays logs it no longer writes with it.
+func Read(path string, maxRecord int) ([][]byte, error) {
+	if maxRecord <= 0 {
+		maxRecord = DefaultMaxRecord
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	recs, _ := scan(data, maxRecord)
+	return recs, nil
 }
 
 // AppendRecord appends one encoded record (header + payload) to dst —

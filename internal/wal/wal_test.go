@@ -136,6 +136,30 @@ func TestTornTail(t *testing.T) {
 	}
 }
 
+// TestRead returns the valid prefix of a log image with a torn tail
+// and leaves the file exactly as it found it.
+func TestRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	img := AppendRecord(AppendRecord(nil, []byte("one")), []byte("two"))
+	img = append(img, AppendRecord(nil, []byte("torn"))[:5]...)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Read(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || string(recs[0]) != "one" || string(recs[1]) != "two" {
+		t.Fatalf("Read = %q, want [one two]", recs)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, img) {
+		t.Fatal("Read modified the log")
+	}
+	if _, err := Read(filepath.Join(t.TempDir(), "missing.wal"), 0); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Read of a missing log: %v, want ErrNotExist", err)
+	}
+}
+
 // TestCorruptTail flips one payload byte of the final record: its CRC
 // fails, the record is dropped, and the prefix survives.
 func TestCorruptTail(t *testing.T) {

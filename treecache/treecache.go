@@ -27,8 +27,9 @@
 //	c.Request(treecache.Pos(7))              // positive request to the leaf
 //	fmt.Println(c.Cost())                    // accumulated cost so far
 //
-// See the examples/ directory for complete programs, DESIGN.md for the
-// architecture, and EXPERIMENTS.md for the paper-claim reproductions.
+// See the examples/ directory for complete programs, the repository
+// README for the architecture, and cmd/experiments (experiment list in
+// internal/experiments) for the paper-claim reproductions.
 package treecache
 
 import (
