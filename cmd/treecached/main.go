@@ -68,7 +68,7 @@ func main() {
 	for i := range trees {
 		// Per-tenant RNG streams so random trees differ across tenants
 		// but stay reproducible for a given -seed.
-		t, err := buildTree(rand.New(rand.NewSource(*seed+int64(i))), *shape, *nodes)
+		t, err := tree.FromShape(rand.New(rand.NewSource(*seed+int64(i))), *shape, *nodes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -125,27 +125,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("treecached: drained and checkpointed")
-}
-
-func buildTree(rng *rand.Rand, shape string, n int) (*tree.Tree, error) {
-	switch shape {
-	case "path":
-		return tree.Path(n), nil
-	case "star":
-		return tree.Star(n), nil
-	case "binary":
-		return tree.CompleteKary(n, 2), nil
-	case "ternary":
-		return tree.CompleteKary(n, 3), nil
-	case "caterpillar":
-		spine := n / 3
-		if spine < 1 {
-			spine = 1
-		}
-		return tree.Caterpillar(spine, 2), nil
-	case "random":
-		return tree.Random(rng, n, 1), nil
-	default:
-		return nil, fmt.Errorf("treecached: unknown tree shape %q", shape)
-	}
 }

@@ -57,7 +57,7 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	t, err := buildTree(rng, *shape, *nodes)
+	t, err := tree.FromShape(rng, *shape, *nodes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -310,29 +310,6 @@ func runSnapshotDrill(t *tree.Tree, input trace.Trace, alpha int64, capacity int
 	serve(m2, input[at:])
 	report("restarted", m2)
 	return verdict(m, m2)
-}
-
-func buildTree(rng *rand.Rand, shape string, n int) (*tree.Tree, error) {
-	switch shape {
-	case "path":
-		return tree.Path(n), nil
-	case "star":
-		return tree.Star(n), nil
-	case "binary":
-		return tree.CompleteKary(n, 2), nil
-	case "ternary":
-		return tree.CompleteKary(n, 3), nil
-	case "caterpillar":
-		spine := n / 3
-		if spine < 1 {
-			spine = 1
-		}
-		return tree.Caterpillar(spine, 2), nil
-	case "random":
-		return tree.Random(rng, n, 1), nil
-	default:
-		return nil, fmt.Errorf("treesim: unknown tree shape %q", shape)
-	}
 }
 
 func buildWorkload(rng *rand.Rand, t *tree.Tree, kind string, rounds int, zipfS, negFrac float64, alpha int64, traceIn string) (trace.Trace, error) {

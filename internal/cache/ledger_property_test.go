@@ -22,6 +22,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tree"
@@ -137,30 +138,39 @@ func TestLedgerPropertiesAllAlgorithms(t *testing.T) {
 }
 
 // TestLedgerPropertiesOnEngine: the same accounting identity must hold
-// for the fleet-aggregated stats of the sharded engine (sum of per-
-// shard ledgers).
+// for every shard's published stats on the sharded engine and for the
+// fleet aggregate (sum of per-shard ledgers).
 func TestLedgerPropertiesOnEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
 	trees := []*tree.Tree{tree.CompleteKary(31, 2), tree.Star(16), tree.Path(9)}
-	jobs := make([]sim.Job, len(trees))
+	e := engine.New(engine.Config{
+		Shards: len(trees),
+		NewShard: func(i int) engine.Algorithm {
+			return core.New(trees[i], core.Config{Alpha: ledgerAlpha, Capacity: 1 + trees[i].Len()/2})
+		},
+	})
+	defer e.Close()
 	for i, tr := range trees {
-		tr := tr
-		jobs[i] = sim.Job{
-			Label: tr.String(),
-			Make: func() sim.Algorithm {
-				return core.New(tr, core.Config{Alpha: ledgerAlpha, Capacity: 1 + tr.Len()/2})
-			},
-			Input: trace.RandomMixed(rng, tr, 1000),
+		if err := e.Submit(i, trace.RandomMixed(rng, tr, 1000)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, res := range sim.RunParallel(jobs, 2) {
-		r := res.Result
-		if r.Move != ledgerAlpha*(r.Fetched+r.Evicted) {
-			t.Fatalf("%s: Move = %d, want α·(Fetched+Evicted) = %d",
-				res.Label, r.Move, ledgerAlpha*(r.Fetched+r.Evicted))
+	e.Drain()
+	st := e.Stats()
+	check := func(name string, rounds, serve, move, fetched, evicted int64) {
+		t.Helper()
+		if move != ledgerAlpha*(fetched+evicted) {
+			t.Fatalf("%s: Move = %d, want α·(Fetched+Evicted) = %d", name, move, ledgerAlpha*(fetched+evicted))
 		}
-		if r.Total() != r.Serve+r.Move || r.Serve < 0 || r.Move < 0 {
-			t.Fatalf("%s: inconsistent result %+v", res.Label, r)
+		if serve < 0 || move < 0 || serve > rounds {
+			t.Fatalf("%s: inconsistent stats: rounds %d serve %d move %d", name, rounds, serve, move)
 		}
 	}
+	for i, ss := range st.Shards {
+		if ss.Rounds != 1000 {
+			t.Fatalf("%s: %d rounds, want 1000", trees[i], ss.Rounds)
+		}
+		check(trees[i].String(), ss.Rounds, ss.Serve, ss.Move, ss.Fetched, ss.Evicted)
+	}
+	check("fleet", st.Rounds, st.Serve, st.Move, st.Fetched, st.Evicted)
 }

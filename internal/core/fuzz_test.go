@@ -112,8 +112,8 @@ func FuzzEngineDifferential(f *testing.F) {
 			QueueLen: 2,
 		})
 		// Decode the byte stream into (tenant, request) pairs; submit
-		// consecutive same-tenant runs as one batch to exercise both
-		// the single-request and the batched path.
+		// consecutive same-tenant runs as one batch, so batches of one
+		// request and of many both reach ServeBatch.
 		perTenant := make([]trace.Trace, k)
 		var batch trace.Trace
 		last := -1

@@ -42,11 +42,8 @@ func NewReference(t *tree.Tree, cfg Config) *Reference {
 	if t.Len() > 20 {
 		panic(fmt.Sprintf("core: Reference limited to 20 nodes, got %d", t.Len()))
 	}
-	if cfg.Alpha < 2 || cfg.Alpha%2 != 0 {
-		panic(fmt.Sprintf("core: Alpha must be an even integer >= 2, got %d", cfg.Alpha))
-	}
-	if cfg.Capacity < 1 {
-		panic(fmt.Sprintf("core: Capacity must be >= 1, got %d", cfg.Capacity))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	return &Reference{
 		t:     t,

@@ -234,11 +234,8 @@ func RestoreMutable(cfg MutableConfig, st *MutableState) (*MutableTC, error) {
 	if cfg.RebuildFrac <= 0 {
 		cfg.RebuildFrac = 0.125
 	}
-	if cfg.Alpha < 2 || cfg.Alpha%2 != 0 {
-		return nil, fmt.Errorf("core: restore: Alpha must be an even integer >= 2, got %d", cfg.Alpha)
-	}
-	if cfg.Capacity < 1 {
-		return nil, fmt.Errorf("core: restore: Capacity must be >= 1, got %d", cfg.Capacity)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if st.Led.Alpha != cfg.Alpha {
 		return nil, fmt.Errorf("core: restore: ledger alpha %d does not match configured alpha %d", st.Led.Alpha, cfg.Alpha)

@@ -92,6 +92,20 @@ type Config struct {
 	Observer Observer
 }
 
+// Validate reports whether the configuration is one the algorithm is
+// defined for: α an even integer ≥ 2 and a capacity ≥ 1. New panics on
+// an invalid configuration; callers holding outside input (a daemon's
+// flags) check it with Validate first.
+func (c Config) Validate() error {
+	if c.Alpha < 2 || c.Alpha%2 != 0 {
+		return fmt.Errorf("core: Alpha must be an even integer >= 2, got %d", c.Alpha)
+	}
+	if c.Capacity < 1 {
+		return fmt.Errorf("core: Capacity must be >= 1, got %d", c.Capacity)
+	}
+	return nil
+}
+
 // negInf / posInf are sentinels far outside any reachable aggregate
 // value but safe against overflow under the bounded range-adds of one
 // phase.
@@ -228,11 +242,8 @@ type TC struct {
 // skeleton (tree.SegIndex), so a sharded fleet pays the index cost
 // once.
 func New(t *tree.Tree, cfg Config) *TC {
-	if cfg.Alpha < 2 || cfg.Alpha%2 != 0 {
-		panic(fmt.Sprintf("core: Alpha must be an even integer >= 2, got %d", cfg.Alpha))
-	}
-	if cfg.Capacity < 1 {
-		panic(fmt.Sprintf("core: Capacity must be >= 1, got %d", cfg.Capacity))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	n := t.Len()
 	seg := t.Seg()

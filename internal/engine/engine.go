@@ -6,26 +6,31 @@
 // Concurrency model — single writer per shard:
 //
 //   - Every shard owns exactly one Algorithm instance and exactly one
-//     worker goroutine; only that goroutine ever calls Serve, so the
+//     worker goroutine; only that goroutine ever serves it, so the
 //     serve path needs no locks and the zero-allocation property of
-//     the underlying algorithm is preserved. Algorithms that implement
-//     the optional BatchServer interface (core.TC's run-coalescing
-//     ServeBatch) are served batch-at-a-time, so correlated bursts are
+//     the underlying algorithm is preserved. Shards are batched
+//     algorithms: every dispatched batch is one ServeBatch call
+//     (core.TC's run-coalescing path), so correlated bursts are
 //     amortized instead of paying the full decision cost per request.
 //   - Submit routes a batch to the shard's FIFO channel; batches of
 //     one tenant are therefore served in submission order, which makes
 //     a concurrent run equivalent to per-tenant sequential replay (the
 //     differential tests assert exactly this). TrySubmit is the
 //     non-blocking variant (ErrOverloaded instead of backpressure
-//     blocking) and SubmitCtx bounds the wait by a context.
-//   - Cost ledgers and latency statistics are accumulated in worker-
-//     local variables and published as one immutable snapshot per
-//     batch (a single atomic pointer store), so Stats may be called at
-//     any time from any goroutine without contending with the serve
-//     path and never observes a torn (cross-field inconsistent) state.
-//   - The optional Parallelism cap is a batch-granularity token
-//     channel: it bounds how many workers serve simultaneously without
-//     adding any per-request synchronization.
+//     blocking) and SubmitCtx bounds the wait by a context. Every
+//     batch and mutation message enters a queue through one function,
+//     enqueue.
+//   - The algorithm owns its counters: requests served (Round), peak
+//     occupancy (MaxCacheLen) and the cost ledger. The worker adds its
+//     own timing and supervision counters and publishes both as one
+//     immutable snapshot per message (a single atomic pointer store),
+//     so Stats may be called at any time from any goroutine without
+//     contending with the serve path and never observes a torn
+//     (cross-field inconsistent) state. New publishes every shard once
+//     before its worker starts, so a restored instance reports its
+//     restored counters from the start.
+//   - Shard workers are plain goroutines; GOMAXPROCS bounds how many
+//     serve at once.
 //   - SubmitMulti chunk buffers are engine-owned and cycle through a
 //     free list (dispatcher → shard queue → worker → free list), so
 //     steady-state dispatch performs no per-batch allocation.
@@ -43,13 +48,14 @@
 // message applied since the last good checkpoint. When serving panics,
 // the supervisor recovers the panic, restores the algorithm from the
 // checkpoint, replays the journal (deterministically reproducing the
-// pre-fault state without double-counting any statistic — cost ledgers
-// are re-derived from the restored instance, worker counters are
-// committed only once per message) and retries the faulting message a
-// bounded number of times before dropping it (counted in Dropped).
-// The single-writer property is preserved: supervision runs entirely
-// inside the shard's worker goroutine. Unsupervised shards keep plain
-// Go semantics — a panic propagates and crashes the process.
+// pre-fault state without double-counting any statistic — the
+// algorithm's own counters are re-derived by the replay, worker
+// counters are committed only once per message) and retries the
+// faulting message a bounded number of times before dropping it
+// (counted in Dropped). The single-writer property is preserved:
+// supervision runs entirely inside the shard's worker goroutine.
+// Unsupervised shards keep plain Go semantics — a panic propagates and
+// crashes the process.
 //
 // Checkpoint hands the fleet's state to a caller that persists it
 // (treecached's durable checkpoint). Every blob comes from the one
@@ -71,19 +77,20 @@ import (
 	"repro/internal/trace"
 )
 
-// Algorithm is the minimal surface the engine drives. It is a
-// structural subset of sim.Algorithm, so TC, the Section-4 Reference,
-// the eager baselines and the variants engine all satisfy it without
-// this package importing them (internal/sim builds on this package).
+// Algorithm is the surface the engine drives: a batched algorithm that
+// owns its counters, which the engine publishes as the shard's stats.
+// core.TC, core.MutableTC and snapshot.Checkpointed satisfy it without
+// this package importing them.
 type Algorithm interface {
 	// Name identifies the algorithm in stats.
 	Name() string
-	// Serve processes one request; see sim.Algorithm.
-	Serve(req trace.Request) (serveCost, moveCost int64)
-	// CacheLen returns the current cache occupancy.
-	CacheLen() int
+	BatchServer
 	// Ledger returns the accumulated costs.
 	Ledger() cache.Ledger
+	// Round returns the number of requests served since construction.
+	// A request the algorithm serves as a free no-op (MutableTC's
+	// request to a withdrawn rule) is not a round.
+	Round() int64
 }
 
 // TopologyServer is optionally implemented by algorithms whose rule
@@ -95,15 +102,12 @@ type TopologyServer interface {
 	ApplyTopology(muts []trace.Mutation) error
 }
 
-// BatchServer is optionally implemented by algorithms that serve a
-// whole batch at amortized cost (core.TC's run-coalescing ServeBatch).
-// Shard workers detect it once at construction and then serve every
-// dispatched batch through it — semantics must be identical to calling
-// Serve per request, so the engine's sequential-equivalence guarantees
-// are unchanged. MaxCacheLen substitutes for the per-request CacheLen
-// sampling the batched path skips: it must return the peak occupancy
-// since construction (occupancy only grows at fetches, so a high-water
-// mark equals the per-request peak exactly).
+// BatchServer is the batched half of Algorithm: ServeBatch serves a
+// whole batch at amortized cost (core.TC's run-coalescing path) with
+// semantics identical to serving its requests one by one, so the
+// engine's sequential-equivalence guarantees hold. MaxCacheLen returns
+// the peak occupancy since construction (occupancy only grows at
+// fetches, so a high-water mark equals the per-request peak exactly).
 type BatchServer interface {
 	ServeBatch(batch trace.Trace) (serveCost, moveCost int64)
 	MaxCacheLen() int
@@ -143,9 +147,6 @@ type Config struct {
 	// QueueLen is the per-shard batch queue capacity; Submit blocks
 	// while a shard's queue is full (backpressure). Default 64.
 	QueueLen int
-	// Parallelism caps how many shard workers serve batches at the
-	// same time; 0 means no cap beyond one goroutine per shard.
-	Parallelism int
 	// CheckpointEvery is the supervision cadence for shards whose
 	// algorithm implements Checkpointer: a fresh state snapshot is
 	// captured every CheckpointEvery served messages (and at every
@@ -163,18 +164,21 @@ type Config struct {
 }
 
 // ShardStats is one shard's published counters: a consistent snapshot
-// taken at the shard's last completed batch (published atomically as a
-// whole, so fields are never mutually torn). After Drain the snapshot
-// covers all drained work exactly.
+// taken at the shard's last completed message, or at New before the
+// first (published atomically as a whole, so fields are never mutually
+// torn). After Drain the snapshot covers all drained work exactly.
+// Rounds, the ledger fields and MaxCache are the algorithm's own, so
+// they include any state the instance was restored with; the rest
+// count from New.
 type ShardStats struct {
 	Shard     int
 	Algorithm string
-	Rounds    int64 // requests served
+	Rounds    int64 // requests served (Algorithm.Round)
 	Serve     int64 // serving cost
 	Move      int64 // movement cost
 	Fetched   int64 // nodes fetched
 	Evicted   int64 // nodes evicted
-	MaxCache  int   // peak cache occupancy observed
+	MaxCache  int   // peak cache occupancy (BatchServer.MaxCacheLen)
 	Batches   int64 // batches served
 	BusyNs    int64 // total wall time spent serving batches
 	MaxBatch  int64 // slowest single batch, ns
@@ -279,26 +283,25 @@ type supervisor struct {
 	journal []message
 }
 
-// counters is the worker-local statistics state; values are committed
-// exactly once per successfully served message and escape only through
-// the atomic per-shard publication.
+// counters is the worker's own statistics state, beside the counters
+// the algorithm keeps; values are committed exactly once per
+// successfully served message and escape only through the atomic
+// per-shard publication.
 type counters struct {
-	rounds, batches, busyNs, maxBatch int64
-	topoOK, topoErrs                  int64
-	restarts, checkpoints, ckptErrs   int64
-	dropped                           int64
-	ckptNs, ckptBytes                 int64
-	maxCache                          int
-	lat                               metrics.Histogram
+	batches, busyNs, maxBatch       int64
+	topoOK, topoErrs                int64
+	restarts, checkpoints, ckptErrs int64
+	dropped                         int64
+	ckptNs, ckptBytes               int64
+	lat                             metrics.Histogram
 }
 
 type shard struct {
-	id    int
-	name  string
-	algo  Algorithm
-	batch BatchServer    // non-nil when algo serves batches natively
-	topo  TopologyServer // non-nil when algo accepts topology mutations
-	ck    Checkpointer   // non-nil when algo captures and restores its state
+	id   int
+	name string
+	algo Algorithm
+	topo TopologyServer // non-nil when algo accepts topology mutations
+	ck   Checkpointer   // non-nil when algo captures and restores its state
 	// verify is algo's SnapshotVerifier, nil when it has none.
 	verify func([]byte) error
 	sup    *supervisor           // non-nil when the shard runs supervised
@@ -306,8 +309,9 @@ type shard struct {
 	in     chan message
 	done   chan struct{}
 	// pub is the published snapshot: a fresh immutable ShardStats is
-	// stored once per batch by the shard's single writer, so readers
-	// always see an internally consistent (never torn) snapshot.
+	// stored by New and then once per message by the shard's single
+	// writer, so readers always see an internally consistent (never
+	// torn) snapshot.
 	pub atomic.Pointer[ShardStats]
 }
 
@@ -317,7 +321,6 @@ type shard struct {
 // receive a clean ErrClosed instead of panicking on a closed channel.
 type Engine struct {
 	shards []*shard
-	tokens chan struct{} // nil when Parallelism is uncapped
 	free   chan *trace.Trace
 	// mu guards the lifecycle: submitters hold the read side across
 	// their channel send, Close takes the write side before closing the
@@ -334,8 +337,9 @@ var ErrClosed = errors.New("engine: closed")
 // to a blocking Submit.
 var ErrOverloaded = errors.New("engine: shard queue full")
 
-// New builds the fleet and starts one worker goroutine per shard. It
-// panics on invalid configuration (programmer input).
+// New builds the fleet, publishes every shard's stats once, and starts
+// one worker goroutine per shard. It panics on invalid configuration
+// (programmer input).
 func New(cfg Config) *Engine {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("engine: Shards must be >= 1, got %d", cfg.Shards))
@@ -355,12 +359,6 @@ func New(cfg Config) *Engine {
 		// shard) fits without dropping capacity on the floor.
 		free: make(chan *trace.Trace, cfg.Shards*(queue+2)),
 	}
-	if cfg.Parallelism > 0 && cfg.Parallelism < cfg.Shards {
-		e.tokens = make(chan struct{}, cfg.Parallelism)
-		for i := 0; i < cfg.Parallelism; i++ {
-			e.tokens <- struct{}{}
-		}
-	}
 	for i := range e.shards {
 		algo := cfg.NewShard(i)
 		s := &shard{
@@ -370,7 +368,6 @@ func New(cfg Config) *Engine {
 			in:   make(chan message, queue),
 			done: make(chan struct{}),
 		}
-		s.batch, _ = algo.(BatchServer)
 		s.topo, _ = algo.(TopologyServer)
 		if i < len(cfg.RatioMonitors) {
 			s.ratio = cfg.RatioMonitors[i]
@@ -387,6 +384,7 @@ func New(cfg Config) *Engine {
 			s.sup = &supervisor{every: every}
 		}
 		e.shards[i] = s
+		s.publish(&counters{})
 		go e.worker(s)
 	}
 	return e
@@ -410,62 +408,33 @@ func (e *Engine) Algorithm(i int) Algorithm { return e.shards[i].algo }
 // it before the next Drain. Requests of one shard are served in
 // submission order.
 func (e *Engine) Submit(shard int, batch trace.Trace) error {
-	return e.submit(shard, batch, nil)
+	return e.enqueue(context.Background(), true, shard, message{batch: batch})
 }
 
 // SubmitCtx is Submit with a bounded wait: when the shard's queue is
 // full it blocks only until ctx is done, then returns ctx.Err()
 // without enqueuing.
 func (e *Engine) SubmitCtx(ctx context.Context, shard int, batch trace.Trace) error {
-	if shard < 0 || shard >= len(e.shards) {
-		return fmt.Errorf("engine: shard %d out of range [0,%d)", shard, len(e.shards))
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	select {
-	case e.shards[shard].in <- message{batch: batch}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return e.enqueue(ctx, true, shard, message{batch: batch})
 }
 
 // TrySubmit is the non-blocking Submit: when the shard's queue is full
 // it returns ErrOverloaded immediately instead of exerting
 // backpressure on the caller.
 func (e *Engine) TrySubmit(shard int, batch trace.Trace) error {
-	if shard < 0 || shard >= len(e.shards) {
-		return fmt.Errorf("engine: shard %d out of range [0,%d)", shard, len(e.shards))
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	select {
-	case e.shards[shard].in <- message{batch: batch}:
-		return nil
-	default:
-		return ErrOverloaded
-	}
+	return e.enqueue(context.Background(), false, shard, message{batch: batch})
 }
 
-// submit enqueues one batch; box, when non-nil, hands ownership of a
-// pooled buffer to the serving worker for recycling.
-func (e *Engine) submit(shard int, batch trace.Trace, box *trace.Trace) error {
+// enqueue is the one path by which a batch or mutation message enters
+// a shard queue: the range check, the closed check under the read
+// lock, and the send. With wait it blocks until the send or until ctx
+// is done (ctx.Err()); without it, it never blocks (ErrOverloaded on a
+// full queue). An empty message is a no-op.
+func (e *Engine) enqueue(ctx context.Context, wait bool, shard int, m message) error {
 	if shard < 0 || shard >= len(e.shards) {
 		return fmt.Errorf("engine: shard %d out of range [0,%d)", shard, len(e.shards))
 	}
-	if len(batch) == 0 {
+	if len(m.batch) == 0 && len(m.muts) == 0 {
 		return nil
 	}
 	e.mu.RLock()
@@ -473,8 +442,21 @@ func (e *Engine) submit(shard int, batch trace.Trace, box *trace.Trace) error {
 	if e.closed {
 		return ErrClosed
 	}
-	e.shards[shard].in <- message{batch: batch, box: box}
-	return nil
+	in := e.shards[shard].in
+	if !wait {
+		select {
+		case in <- m:
+			return nil
+		default:
+			return ErrOverloaded
+		}
+	}
+	select {
+	case in <- m:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // getBatchBuf takes a recycled batch buffer off the free list, or
@@ -509,22 +491,10 @@ func (e *Engine) putBatchBuf(box *trace.Trace, batch trace.Trace) {
 // stats (TopoErrs), not returned here. The shard's algorithm must
 // implement TopologyServer.
 func (e *Engine) ApplyTopology(shard int, muts []trace.Mutation) error {
-	if shard < 0 || shard >= len(e.shards) {
-		return fmt.Errorf("engine: shard %d out of range [0,%d)", shard, len(e.shards))
-	}
-	if e.shards[shard].topo == nil {
+	if shard >= 0 && shard < len(e.shards) && e.shards[shard].topo == nil {
 		return fmt.Errorf("engine: shard %d algorithm %q does not accept topology mutations", shard, e.shards[shard].name)
 	}
-	if len(muts) == 0 {
-		return nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.shards[shard].in <- message{muts: muts}
-	return nil
+	return e.enqueue(context.Background(), true, shard, message{muts: muts})
 }
 
 // SubmitMulti routes a multi-tenant trace to the fleet (tenant i →
@@ -557,7 +527,7 @@ func (e *Engine) SubmitMulti(mt trace.MultiTrace, batchLen int) error {
 			// its recorded position in the tenant's stream.
 			if box := pending[tr.Tenant]; box != nil && len(*box) > 0 {
 				pending[tr.Tenant] = nil
-				if err := e.submit(tr.Tenant, *box, box); err != nil {
+				if err := e.enqueue(context.Background(), true, tr.Tenant, message{batch: *box, box: box}); err != nil {
 					e.putBatchBuf(box, *box)
 					release()
 					return err
@@ -577,7 +547,7 @@ func (e *Engine) SubmitMulti(mt trace.MultiTrace, batchLen int) error {
 		*box = append(*box, tr.Req)
 		if len(*box) == batchLen {
 			pending[tr.Tenant] = nil
-			if err := e.submit(tr.Tenant, *box, box); err != nil {
+			if err := e.enqueue(context.Background(), true, tr.Tenant, message{batch: *box, box: box}); err != nil {
 				e.putBatchBuf(box, *box)
 				release()
 				return err
@@ -593,7 +563,7 @@ func (e *Engine) SubmitMulti(mt trace.MultiTrace, batchLen int) error {
 			e.putBatchBuf(box, *box)
 			continue
 		}
-		if err := e.submit(t, *box, box); err != nil {
+		if err := e.enqueue(context.Background(), true, t, message{batch: *box, box: box}); err != nil {
 			e.putBatchBuf(box, *box)
 			release()
 			return err
@@ -676,15 +646,12 @@ func (e *Engine) Close() {
 }
 
 // Stats snapshots the fleet counters. Safe to call at any time; values
-// are exact as of each shard's last completed batch (queue depths are
-// sampled at the moment of the call).
+// are exact as of each shard's last completed message (queue depths
+// are sampled at the moment of the call).
 func (e *Engine) Stats() Stats {
 	st := Stats{Shards: make([]ShardStats, len(e.shards))}
 	for i, s := range e.shards {
-		ss := ShardStats{Shard: i, Algorithm: s.name}
-		if p := s.pub.Load(); p != nil {
-			ss = *p
-		}
+		ss := *s.pub.Load()
 		ss.QueueDepth = len(s.in)
 		st.Shards[i] = ss
 		st.Rounds += ss.Rounds
@@ -715,7 +682,7 @@ func (e *Engine) Stats() Stats {
 
 // worker is the single goroutine that owns shard s. All algorithm
 // state and the running counters are confined to it; only the
-// per-batch atomic publication escapes.
+// per-message atomic publication escapes.
 func (e *Engine) worker(s *shard) {
 	defer close(s.done)
 	var w counters
@@ -725,89 +692,52 @@ func (e *Engine) worker(s *shard) {
 		s.sup.checkpoint(s, &w)
 	}
 	for msg := range s.in {
-		if msg.flush != nil {
+		switch {
+		case msg.flush != nil:
 			msg.flush.acks <- e.consistencyPoint(s, &w, msg.flush.capture)
 			continue
-		}
-		if msg.muts != nil {
+		case msg.muts != nil:
 			e.serveMuts(s, &w, msg)
-			// Mutations can grow occupancy (an insert under a cached
-			// parent installs the new rule), so refresh the peak before
-			// publishing.
-			if s.batch != nil {
-				if c := s.batch.MaxCacheLen(); c > w.maxCache {
-					w.maxCache = c
-				}
-			} else if c := s.algo.CacheLen(); c > w.maxCache {
-				w.maxCache = c
-			}
-			s.publish(&w)
-			continue
-		}
-		if e.tokens != nil {
-			<-e.tokens
-		}
-		var ratioBase int64
-		if s.ratio != nil {
-			ratioBase = s.algo.Ledger().Total()
-		}
-		start := time.Now()
-		served := e.serveBatch(s, &w, msg)
-		elapsed := time.Since(start).Nanoseconds()
-		if e.tokens != nil {
-			e.tokens <- struct{}{}
-		}
-		if served {
-			n := int64(len(msg.batch))
-			w.rounds += n
-			w.batches++
-			w.busyNs += elapsed
-			if elapsed > w.maxBatch {
-				w.maxBatch = elapsed
-			}
-			// Amortized per-request latency, request-weighted: one
-			// histogram update per batch, no per-request clock reads.
-			w.lat.RecordN(elapsed/n, n)
-			if s.ratio != nil {
-				s.ratio.Observe(msg.batch, s.algo.Ledger().Total()-ratioBase)
-			}
-		}
-		if s.sup == nil && msg.box != nil {
-			e.putBatchBuf(msg.box, msg.batch)
+		default:
+			e.serveBatch(s, &w, msg)
 		}
 		s.publish(&w)
 	}
 }
 
 // serveBatch serves one batch, under supervision when the shard has
-// it, and reports whether the batch was actually served (a supervised
-// batch can be dropped after exhausting panic retries).
-func (e *Engine) serveBatch(s *shard, w *counters, msg message) bool {
+// it, timing it and feeding the ratio monitor when the batch was
+// actually served (a supervised batch can be dropped after exhausting
+// panic retries).
+func (e *Engine) serveBatch(s *shard, w *counters, msg message) {
+	var ratioBase int64
+	if s.ratio != nil {
+		ratioBase = s.algo.Ledger().Total()
+	}
+	start := time.Now()
+	served := true
 	if s.sup == nil {
-		s.runBatch(msg.batch, w)
-		return true
+		s.algo.ServeBatch(msg.batch)
+	} else {
+		served = e.supervised(s, w, msg)
 	}
-	return e.supervised(s, w, msg)
-}
-
-// runBatch is the raw serve path shared by normal serving and journal
-// replay. maxCache sampling is a monotone high-water mark, so
-// re-observing replayed occupancy is harmless.
-func (s *shard) runBatch(batch trace.Trace, w *counters) {
-	if s.batch != nil {
-		// Native batched serving: one amortized call, peak occupancy
-		// from the algorithm's exact high-water mark.
-		s.batch.ServeBatch(batch)
-		if c := s.batch.MaxCacheLen(); c > w.maxCache {
-			w.maxCache = c
+	elapsed := time.Since(start).Nanoseconds()
+	if served {
+		n := int64(len(msg.batch))
+		w.batches++
+		w.busyNs += elapsed
+		if elapsed > w.maxBatch {
+			w.maxBatch = elapsed
 		}
-		return
+		// Amortized per-request latency, request-weighted: one
+		// histogram update per batch, no per-request clock reads.
+		w.lat.RecordN(elapsed/n, n)
+		if s.ratio != nil {
+			s.ratio.Observe(msg.batch, s.algo.Ledger().Total()-ratioBase)
+		}
 	}
-	for _, req := range batch {
-		s.algo.Serve(req)
-		if c := s.algo.CacheLen(); c > w.maxCache {
-			w.maxCache = c
-		}
+	if s.sup == nil && msg.box != nil {
+		e.putBatchBuf(msg.box, msg.batch)
 	}
 }
 
@@ -857,7 +787,7 @@ const maxRetries = 3
 func (e *Engine) supervised(s *shard, w *counters, msg message) bool {
 	sup := s.sup
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		ok, errs, panicked := s.attempt(msg, w)
+		ok, errs, panicked := s.attempt(msg)
 		if !panicked {
 			w.topoOK += ok
 			w.topoErrs += errs
@@ -868,7 +798,7 @@ func (e *Engine) supervised(s *shard, w *counters, msg message) bool {
 			return true
 		}
 		w.restarts++
-		sup.recover(s, w)
+		sup.recover(s)
 	}
 	w.dropped++
 	if msg.box != nil {
@@ -880,7 +810,7 @@ func (e *Engine) supervised(s *shard, w *counters, msg message) bool {
 // attempt serves one message, converting a panic anywhere below the
 // algorithm into a reported recovery instead of a crashed process.
 // Counter deltas are returned, not committed.
-func (s *shard) attempt(msg message, w *counters) (ok, errs int64, panicked bool) {
+func (s *shard) attempt(msg message) (ok, errs int64, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if s.sup.ckpt == nil {
@@ -896,17 +826,17 @@ func (s *shard) attempt(msg message, w *counters) (ok, errs int64, panicked bool
 		ok, errs = ApplyMutations(s.topo, msg.muts)
 		return ok, errs, false
 	}
-	s.runBatch(msg.batch, w)
+	s.algo.ServeBatch(msg.batch)
 	return 0, 0, false
 }
 
 // recover restores the algorithm from the last checkpoint and replays
-// the journal, reproducing the exact pre-fault state. Cost ledgers are
-// re-derived by the replay itself and worker counters are untouched,
-// so recovered work is never double-counted. A failure inside recovery
+// the journal, reproducing the exact pre-fault state. The algorithm's
+// counters are re-derived by the replay itself and worker counters are
+// untouched, so recovered work is never double-counted. A failure inside recovery
 // (Restore error, or a panic while replaying) is not survivable —
 // supervision's own invariants are broken — and propagates.
-func (sup *supervisor) recover(s *shard, w *counters) {
+func (sup *supervisor) recover(s *shard) {
 	if err := s.ck.Restore(sup.ckpt); err != nil {
 		panic(fmt.Sprintf("engine: shard %d: restore from checkpoint failed after panic: %v", s.id, err))
 	}
@@ -915,7 +845,7 @@ func (sup *supervisor) recover(s *shard, w *counters) {
 			ApplyMutations(s.topo, m.muts)
 			continue
 		}
-		s.runBatch(m.batch, w)
+		s.algo.ServeBatch(m.batch)
 	}
 }
 
@@ -1009,19 +939,20 @@ func (e *Engine) recycleJournal(sup *supervisor) {
 	sup.journal = sup.journal[:0]
 }
 
-// publish stores one immutable stats snapshot; only the shard's worker
-// calls it.
+// publish stores one immutable stats snapshot: the algorithm's own
+// counters beside the worker's. Only the shard's worker calls it, and
+// New once before starting the worker.
 func (s *shard) publish(w *counters) {
 	led := s.algo.Ledger()
 	s.pub.Store(&ShardStats{
 		Shard:       s.id,
 		Algorithm:   s.name,
-		Rounds:      w.rounds,
+		Rounds:      s.algo.Round(),
 		Serve:       led.Serve,
 		Move:        led.Move,
 		Fetched:     led.Fetched,
 		Evicted:     led.Evicted,
-		MaxCache:    w.maxCache,
+		MaxCache:    s.algo.MaxCacheLen(),
 		Batches:     w.batches,
 		BusyNs:      w.busyNs,
 		MaxBatch:    w.maxBatch,

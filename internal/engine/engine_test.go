@@ -1,14 +1,13 @@
 package engine_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -115,7 +114,7 @@ func TestEngineMixedAlgorithms(t *testing.T) {
 			if i == 0 {
 				return core.New(tr, core.Config{Alpha: 4, Capacity: 8})
 			}
-			return baseline.NewEager(tr, baseline.Config{Alpha: 4, Capacity: 8, Policy: baseline.LRU})
+			return core.NewMutable(tr, core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 8}})
 		},
 	})
 	defer e.Close()
@@ -128,12 +127,66 @@ func TestEngineMixedAlgorithms(t *testing.T) {
 	}
 	e.Drain()
 	st := e.Stats()
-	if st.Shards[0].Algorithm != "TC" {
-		t.Fatalf("shard 0 algorithm %q", st.Shards[0].Algorithm)
+	if _, ok := e.Algorithm(1).(*core.MutableTC); !ok {
+		t.Fatalf("shard 1 runs %T", e.Algorithm(1))
 	}
-	if st.Shards[1].Algorithm == "TC" || st.Shards[1].Rounds != 2000 {
-		t.Fatalf("shard 1: %+v", st.Shards[1])
+	if st.Shards[0].Rounds != 2000 || st.Shards[1].Rounds != 2000 {
+		t.Fatalf("rounds %d / %d, want 2000 each", st.Shards[0].Rounds, st.Shards[1].Rounds)
 	}
+	// Same requests, same tree, same decisions: the dynamic instance
+	// serves a static topology exactly like TC.
+	if st.Shards[0].Total() != st.Shards[1].Total() {
+		t.Fatalf("TC total %d, MutableTC total %d", st.Shards[0].Total(), st.Shards[1].Total())
+	}
+}
+
+// TestEngineStatsFromAlgorithm: a shard's Rounds, ledger and MaxCache
+// are the algorithm's own counters. A request to a withdrawn rule is a
+// free no-op for MutableTC, not a round, so Rounds must not count it;
+// and a shard built over a restored instance reports the restored
+// counters as soon as New returns, before any message.
+func TestEngineStatsFromAlgorithm(t *testing.T) {
+	cfg := core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 16}}
+	t.Run("withdrawn", func(t *testing.T) {
+		m := core.NewMutable(tree.CompleteKary(63, 2), cfg)
+		e := engine.New(engine.Config{Shards: 1, NewShard: func(int) engine.Algorithm { return m }})
+		defer e.Close()
+		for _, mut := range []trace.Mutation{trace.InsertMut(63, 3), trace.DeleteMut(63)} {
+			if err := e.ApplyTopology(0, []trace.Mutation{mut}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Submit(0, trace.Trace{trace.Pos(5), trace.Pos(63), trace.Pos(63), trace.Pos(7)}); err != nil {
+			t.Fatal(err)
+		}
+		e.Drain()
+		if got := e.Stats().Shards[0].Rounds; got != 2 || got != m.Round() {
+			t.Fatalf("Rounds %d, algorithm Round %d; want 2 for both", got, m.Round())
+		}
+	})
+	t.Run("restored", func(t *testing.T) {
+		tr := tree.CompleteKary(63, 2)
+		src := core.NewMutable(tr, cfg)
+		src.ServeBatch(trace.ZipfNodes(rand.New(rand.NewSource(206)), tr, 2000, 1.1))
+		blob, err := snapshot.Capture(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := snapshot.Restore(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.MaxCacheLen() == 0 {
+			t.Fatal("restored instance has no peak to report")
+		}
+		e := engine.New(engine.Config{Shards: 1, NewShard: func(int) engine.Algorithm { return m }})
+		defer e.Close()
+		ss := e.Stats().Shards[0]
+		if ss.MaxCache != m.MaxCacheLen() || ss.Rounds != m.Round() || ss.Total() != m.Ledger().Total() {
+			t.Fatalf("stats right after New: %+v; want peak %d, rounds %d, total %d",
+				ss, m.MaxCacheLen(), m.Round(), m.Ledger().Total())
+		}
+	})
 }
 
 // TestEngineDrainIsExact: after Drain, Stats must reflect every
@@ -196,69 +249,6 @@ func TestEngineSubmitErrors(t *testing.T) {
 	e.Close() // idempotent
 	if err := e.Submit(0, trace.Trace{trace.Pos(0)}); err != engine.ErrClosed {
 		t.Fatalf("submit after close: %v", err)
-	}
-}
-
-// TestEngineParallelismCap: results must be independent of the
-// parallelism cap (the cap only schedules, never reorders one shard).
-func TestEngineParallelismCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(203))
-	const tenants = 5
-	trees := fleet(tenants)
-	mt := trace.FIBUpdateReplay(rng, trees, 10000, 1.0, 0.1, 4)
-	var want []int64
-	for _, par := range []int{0, 1, 2, tenants + 3} {
-		e := engine.New(engine.Config{
-			Shards: tenants,
-			NewShard: func(i int) engine.Algorithm {
-				return core.New(trees[i], core.Config{Alpha: 4, Capacity: 1 + trees[i].Len()/3})
-			},
-			Parallelism: par,
-		})
-		if err := e.SubmitMulti(mt, 64); err != nil {
-			t.Fatal(err)
-		}
-		e.Drain()
-		st := e.Stats()
-		e.Close()
-		totals := make([]int64, tenants)
-		for i, ss := range st.Shards {
-			totals[i] = ss.Total()
-		}
-		if want == nil {
-			want = totals
-			continue
-		}
-		for i := range totals {
-			if totals[i] != want[i] {
-				t.Fatalf("parallelism %d: shard %d total %d, want %d", par, i, totals[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRunParallelOnEngine: the sim sweep runner (now engine-backed)
-// must agree with sequential runs; this complements the existing
-// sim-side test from the engine package's perspective.
-func TestRunParallelOnEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(204))
-	tr := tree.CompleteKary(127, 2)
-	var jobs []sim.Job
-	for _, capa := range []int{8, 32, 64} {
-		capa := capa
-		in := trace.RandomMixed(rng, tr, 3000)
-		jobs = append(jobs, sim.Job{
-			Label: fmt.Sprintf("k=%d", capa),
-			Make:  func() sim.Algorithm { return core.New(tr, core.Config{Alpha: 4, Capacity: capa}) },
-			Input: in,
-		})
-	}
-	got := sim.RunParallel(jobs, 2)
-	for i, j := range jobs {
-		want := sim.Run(j.Make(), j.Input)
-		if got[i].Result != want {
-			t.Fatalf("job %s: %+v, want %+v", j.Label, got[i].Result, want)
-		}
 	}
 }
 

@@ -9,12 +9,7 @@ import (
 
 // Histogram returns a copy of shard i's request-latency histogram as
 // of the shard's last completed batch. Safe to call at any time.
-func (e *Engine) Histogram(i int) metrics.Histogram {
-	if p := e.shards[i].pub.Load(); p != nil {
-		return p.Latency
-	}
-	return metrics.Histogram{}
-}
+func (e *Engine) Histogram(i int) metrics.Histogram { return e.shards[i].pub.Load().Latency }
 
 // RatioMonitor returns shard i's attached competitive-ratio monitor,
 // or nil when none was configured.
@@ -91,7 +86,7 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 	x.Header("treecache_shards", "gauge", "Number of shards in the fleet.")
 	x.Int("treecache_shards", nil, int64(len(st.Shards)))
 
-	counter("treecache_requests_total", "Requests served.",
+	counter("treecache_requests_total", "Requests served, from the algorithm's own round count (restored state included; a request to a withdrawn rule is free and not a round).",
 		func(s ShardStats) int64 { return s.Rounds })
 	counter("treecache_batches_total", "Batches served.",
 		func(s ShardStats) int64 { return s.Batches })
@@ -122,7 +117,7 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 
 	gauge("treecache_queue_depth", "Shard queue occupancy at scrape time.",
 		func(s ShardStats) int64 { return int64(s.QueueDepth) })
-	gauge("treecache_cache_peak", "Peak cache occupancy observed.",
+	gauge("treecache_cache_peak", "Peak cache occupancy, from the algorithm (restored state included).",
 		func(s ShardStats) int64 { return int64(s.MaxCache) })
 	gauge("treecache_batch_max_ns", "Slowest single batch, nanoseconds.",
 		func(s ShardStats) int64 { return s.MaxBatch })

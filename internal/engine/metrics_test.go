@@ -272,8 +272,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 		NewShard: func(i int) Algorithm {
 			return core.NewMutable(trees[i], core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 32}})
 		},
-		QueueLen:    4,
-		Parallelism: 2,
+		QueueLen: 4,
 	})
 
 	rng := rand.New(rand.NewSource(55))

@@ -32,8 +32,7 @@ func TestEngineRace(t *testing.T) {
 		NewShard: func(i int) engine.Algorithm {
 			return core.New(trees[i], core.Config{Alpha: 4, Capacity: 1 + trees[i].Len()/2})
 		},
-		QueueLen:    8,
-		Parallelism: 2,
+		QueueLen: 8,
 	})
 
 	var submitted atomic.Int64
@@ -132,9 +131,9 @@ type slowServe struct {
 	delay time.Duration
 }
 
-func (s slowServe) Serve(req trace.Request) (int64, int64) {
-	time.Sleep(s.delay)
-	return s.Algorithm.Serve(req)
+func (s slowServe) ServeBatch(batch trace.Trace) (int64, int64) {
+	time.Sleep(time.Duration(len(batch)) * s.delay)
+	return s.Algorithm.ServeBatch(batch)
 }
 
 // TestSubmitCtxCloseRace closes the exactly-once coverage gap between

@@ -27,16 +27,19 @@ type poisonAlgo struct {
 
 func (p *poisonAlgo) Name() string { return "poison" }
 
-func (p *poisonAlgo) Serve(req trace.Request) (int64, int64) {
-	if req.Node == p.poison {
-		panic("poisonAlgo: poison request")
+func (p *poisonAlgo) ServeBatch(batch trace.Trace) (int64, int64) {
+	for _, req := range batch {
+		if req.Node == p.poison {
+			panic("poisonAlgo: poison request")
+		}
+		p.served++
+		p.led.Serve++
 	}
-	p.served++
-	p.led.Serve++
-	return 1, 0
+	return int64(len(batch)), 0
 }
 
-func (p *poisonAlgo) CacheLen() int        { return 0 }
+func (p *poisonAlgo) MaxCacheLen() int     { return 0 }
+func (p *poisonAlgo) Round() int64         { return p.served }
 func (p *poisonAlgo) Ledger() cache.Ledger { return p.led }
 
 func (p *poisonAlgo) Snapshot() ([]byte, error) {

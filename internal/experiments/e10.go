@@ -59,40 +59,22 @@ func E10HeightConjecture() []Report {
 	}
 
 	// Probe 2: random worst case over paths of growing height at fixed
-	// augmentation k_ONL = k_OPT = 2. The TC runs for all (height,
-	// seed) instances go through the sharded serving engine as one
-	// sweep (sim.RunParallel); the exponential OPT DP stays sequential.
+	// augmentation k_ONL = k_OPT = 2: 20 seeded instances per height,
+	// TC against the exponential OPT DP.
 	heights := []int{3, 5, 7, 9, 11}
-	type inst struct {
-		t     *tree.Tree
-		input trace.Trace
-	}
-	var insts []inst
-	var jobs []sim.Job
+	search := stats.NewTable("h(T)", "instances", "maxRatio", "meanRatio")
 	for _, n := range heights {
 		t := tree.Path(n)
+		maxR, sumR, cnt := 0.0, 0.0, 0
 		for seed := int64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewSource(10000 + seed))
 			input := trace.RandomMixed(rng, t, 300)
-			insts = append(insts, inst{t: t, input: input})
-			jobs = append(jobs, sim.Job{
-				Label: fmt.Sprintf("h=%d/seed=%d", n-1, seed),
-				Make:  func() sim.Algorithm { return core.New(t, core.Config{Alpha: alpha, Capacity: 2}) },
-				Input: input,
-			})
-		}
-	}
-	sweep := sim.RunParallel(jobs, 0)
-	search := stats.NewTable("h(T)", "instances", "maxRatio", "meanRatio")
-	for hi, n := range heights {
-		maxR, sumR, cnt := 0.0, 0.0, 0
-		for seed := 0; seed < 20; seed++ {
-			i := hi*20 + seed
-			o := opt.Exact(insts[i].t, insts[i].input, 2, alpha)
+			online := sim.Run(core.New(t, core.Config{Alpha: alpha, Capacity: 2}), input)
+			o := opt.Exact(t, input, 2, alpha)
 			if o.Cost == 0 {
 				continue
 			}
-			r := float64(sweep[i].Result.Total()) / float64(o.Cost)
+			r := float64(online.Total()) / float64(o.Cost)
 			sumR += r
 			cnt++
 			if r > maxR {

@@ -18,9 +18,10 @@ import (
 // k-ary family sits in between with h = log |T|.
 //
 // The measurement runs on the sharded serving engine — one shard per
-// shape, Parallelism 1 so the shards execute back to back — and reads
-// each shard's BusyNs latency ledger, so the number reported is
-// exactly the engine's own per-batch serve timing.
+// shape, each shape submitted and drained before the next so the
+// shards execute back to back — and reads each shard's BusyNs latency
+// ledger, so the number reported is exactly the engine's own per-batch
+// serve timing.
 func E3DecisionCost() []Report {
 	type shapeCase struct {
 		name string
@@ -50,16 +51,15 @@ func E3DecisionCost() []Report {
 			}
 			return core.New(cases[i].t, core.Config{Alpha: 8, Capacity: capa})
 		},
-		QueueLen:    1,
-		Parallelism: 1, // serialize shards: clean per-shape timing
+		QueueLen: 1,
 	})
 	for i, c := range cases {
 		rng := rand.New(rand.NewSource(42))
 		if err := e.Submit(i, trace.RandomMixed(rng, c.t, rounds)); err != nil {
 			panic("experiments: " + err.Error())
 		}
+		e.Drain() // one shape at a time: clean per-shape timing
 	}
-	e.Drain()
 	st := e.Stats()
 	e.Close()
 
@@ -78,7 +78,7 @@ func E3DecisionCost() []Report {
 			"path: height = |T|−1 → ns/request grows with |T| (the O(h) walk)",
 			"binary/16-ary: h = log |T| → near-flat growth",
 			"memory is O(|T|): all per-node state lives in fixed-width arrays (see core.New)",
-			"timed by the serving engine's per-shard BusyNs ledger (Parallelism 1, one shard per shape)",
+			"timed by the serving engine's per-shard BusyNs ledger (one shard per shape, served one at a time)",
 		},
 	}}
 }

@@ -146,20 +146,19 @@ func (in *Injector) plan(p Point, n int) (k int, fire bool) {
 	return k, true
 }
 
-// Inner is the algorithm surface the wrapper needs: the engine's core
-// interface plus batched serving, topology mutation and checkpointing
+// Inner is the algorithm surface the wrapper needs: the engine's
+// batched Algorithm plus topology mutation and checkpointing
 // (snapshot.Checkpointed over a core.MutableTC satisfies it).
 type Inner interface {
 	engine.Algorithm
-	engine.BatchServer
 	engine.TopologyServer
 	engine.Checkpointer
 }
 
 // Algo wraps an Inner algorithm with an Injector's fault plan. It
 // exposes the same optional engine interfaces as the Inner, so a
-// wrapped shard is supervised, batched and mutable exactly like an
-// unwrapped one — faults are the only difference.
+// wrapped shard is supervised and mutable exactly like an unwrapped
+// one — faults are the only difference.
 type Algo struct {
 	Inner Inner
 	Inj   *Injector
@@ -173,19 +172,10 @@ func Wrap(inner Inner, inj *Injector) *Algo { return &Algo{Inner: inner, Inj: in
 
 func (a *Algo) Name() string { return a.Inner.Name() }
 
-// CacheLen, Ledger and MaxCacheLen are pure reads: no fault sites.
-func (a *Algo) CacheLen() int        { return a.Inner.CacheLen() }
+// Ledger, MaxCacheLen and Round are pure reads: no fault sites.
 func (a *Algo) Ledger() cache.Ledger { return a.Inner.Ledger() }
 func (a *Algo) MaxCacheLen() int     { return a.Inner.MaxCacheLen() }
-
-// Serve serves one request, panicking first when the armed
-// ServeRequest fault reaches it.
-func (a *Algo) Serve(req trace.Request) (int64, int64) {
-	if _, fire := a.Inj.plan(ServeRequest, 1); fire {
-		panic(Injected{P: ServeRequest, N: a.Inj.Seen(ServeRequest) + 1})
-	}
-	return a.Inner.Serve(req)
-}
+func (a *Algo) Round() int64         { return a.Inner.Round() }
 
 // ServeBatch serves the prefix before an armed ServeRequest fault for
 // real — the panic interrupts a half-served batch, the hardest state

@@ -466,8 +466,8 @@ func TestServerOversizedFrame(t *testing.T) {
 }
 
 // TestServerRestoreStatsContinuity: stats served over the wire span a
-// restart — the restored base ledger and the new engine's counters
-// merge into one monotone cumulative view.
+// restart — the restored instance's own counters carry the
+// checkpointed work, so the view is one monotone cumulative one.
 func TestServerRestoreStatsContinuity(t *testing.T) {
 	addr := reserveAddr(t)
 	stateDir := t.TempDir()

@@ -14,6 +14,9 @@ func (s *Server) writeWALMetrics(w io.Writer) {
 	x.Header("treecache_durable_checkpoints_total", "counter",
 		"Durably committed checkpoints since boot (each truncates the WAL).")
 	x.Int("treecache_durable_checkpoints_total", nil, s.ckpts.Load())
+	x.Header("treecache_durable_checkpoint_errors_total", "counter",
+		"Failed periodic background checkpoints since boot (capture, file write or WAL truncation); each leaves the previous checkpoint and the full WAL in force.")
+	x.Int("treecache_durable_checkpoint_errors_total", nil, s.ckptErrs.Load())
 	if s.wal == nil {
 		return
 	}

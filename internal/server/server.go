@@ -64,7 +64,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/snapshot"
@@ -74,12 +73,11 @@ import (
 )
 
 // Algo is the algorithm surface a shard of the daemon runs: the
-// engine's core interface plus batched serving, topology mutation and
-// checkpointing. snapshot.Checkpointed over a core.MutableTC satisfies
-// it, as does faultinject.Algo wrapping one (the chaos e2e suite).
+// engine's batched Algorithm plus topology mutation and checkpointing.
+// snapshot.Checkpointed over a core.MutableTC satisfies it, as does
+// faultinject.Algo wrapping one (the chaos e2e suite).
 type Algo interface {
 	engine.Algorithm
-	engine.BatchServer
 	engine.TopologyServer
 	engine.Checkpointer
 }
@@ -118,7 +116,9 @@ type Config struct {
 	// Trees are the per-tenant rule trees; tenant i is served by a
 	// fresh (or restored) dynamic TC instance over Trees[i].
 	Trees []*tree.Tree
-	// Alpha and Capacity configure every shard's algorithm.
+	// Alpha and Capacity configure every shard's algorithm (see
+	// core.Config.Validate). A checkpoint taken with other values is
+	// refused at Start.
 	Alpha    int64
 	Capacity int
 	// QueueLen and CheckpointEvery tune the wrapped engine; see
@@ -163,18 +163,11 @@ const (
 // Server is the treecached daemon. Build with New, start with Start
 // (which performs recovery), stop with Shutdown.
 type Server struct {
-	cfg   Config
-	eng   atomic.Pointer[engine.Engine]
-	algos []Algo
-	// base is each shard's ledger and round count as of the end of
-	// recovery (checkpoint restore plus WAL replay; zero on fresh
-	// shards): the engine's published per-batch stats only cover work
-	// since boot, so stats replies merge the two into restart-spanning
-	// cumulative totals.
-	base       []cache.Ledger
-	baseRounds []int64
-	tenants    []*tenantState
-	quo        *quotas
+	cfg     Config
+	eng     atomic.Pointer[engine.Engine]
+	algos   []Algo
+	tenants []*tenantState
+	quo     *quotas
 
 	// wal is nil without a WALDir; otherwise the daemon's one log,
 	// shared by every tenant. legacy lists the per-shard logs of the
@@ -184,8 +177,9 @@ type Server struct {
 	wal      *wal.Log
 	legacy   []string
 	replayed []int64
-	// ckpts counts durably committed checkpoints (atomic).
-	ckpts atomic.Int64
+	// ckpts counts durably committed checkpoints, ckptErrs failed
+	// periodic background ones.
+	ckpts, ckptErrs atomic.Int64
 
 	ln      net.Listener
 	admin   *http.Server
@@ -228,6 +222,9 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Trees) == 0 {
 		return nil, errors.New("server: no trees configured")
 	}
+	if err := cfg.algoConfig().Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 30 * time.Second
 	}
@@ -238,15 +235,18 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxFrame = wire.DefaultMaxPayload
 	}
 	return &Server{
-		cfg:        cfg,
-		algos:      make([]Algo, len(cfg.Trees)),
-		base:       make([]cache.Ledger, len(cfg.Trees)),
-		baseRounds: make([]int64, len(cfg.Trees)),
-		tenants:    make([]*tenantState, len(cfg.Trees)),
-		replayed:   make([]int64, len(cfg.Trees)),
-		quo:        newQuotas(cfg.Quota, len(cfg.Trees)),
-		conns:      make(map[net.Conn]struct{}),
+		cfg:      cfg,
+		algos:    make([]Algo, len(cfg.Trees)),
+		tenants:  make([]*tenantState, len(cfg.Trees)),
+		replayed: make([]int64, len(cfg.Trees)),
+		quo:      newQuotas(cfg.Quota, len(cfg.Trees)),
+		conns:    make(map[net.Conn]struct{}),
 	}, nil
+}
+
+// algoConfig is every shard's algorithm configuration.
+func (c *Config) algoConfig() core.Config {
+	return core.Config{Alpha: c.Alpha, Capacity: c.Capacity}
 }
 
 // engine returns the wrapped engine, or nil before recovery completes.
@@ -299,9 +299,12 @@ func (s *Server) Start() error {
 // restore rebuilds every shard from the last durable state: the
 // checkpoint file (shard snapshots + sequence table at one consistency
 // point), then the write-ahead log replayed through the sequence
-// table. The replay runs on the raw instances before the engine
-// exists: engine workers capture a supervision snapshot at
-// construction, which must already include the replayed state.
+// table. A snapshot whose α or capacity differs from the
+// configuration is refused. The replay runs on the raw instances
+// before the engine exists: engine workers capture a supervision
+// snapshot at construction, which must already include the replayed
+// state, and the engine publishes the recovered counters as each
+// shard's first stats.
 func (s *Server) restore() error {
 	shards := len(s.cfg.Trees)
 	blobs := make([][]byte, shards)
@@ -317,14 +320,11 @@ func (s *Server) restore() error {
 	}
 	mtcs := make([]*core.MutableTC, shards)
 	for i, t := range s.cfg.Trees {
+		mtcs[i] = core.NewMutable(t, core.MutableConfig{Config: s.cfg.algoConfig()})
 		if blobs[i] == nil {
-			mtcs[i] = core.NewMutable(t, core.MutableConfig{
-				Config: core.Config{Alpha: s.cfg.Alpha, Capacity: s.cfg.Capacity},
-			})
 			continue
 		}
-		var err error
-		if mtcs[i], err = snapshot.Restore(blobs[i]); err != nil {
+		if err := snapshot.RestoreInto(mtcs[i], blobs[i]); err != nil {
 			return fmt.Errorf("server: shard %d: restore: %w", i, err)
 		}
 	}
@@ -334,10 +334,6 @@ func (s *Server) restore() error {
 		}
 	}
 	for i, mtc := range mtcs {
-		// The recovery frontier — checkpoint plus replayed tail — is
-		// the stats base; the engine counts from zero on top of it.
-		s.base[i] = mtc.Ledger()
-		s.baseRounds[i] = mtc.Round()
 		var algo Algo = snapshot.Checkpointed{MutableTC: mtc}
 		if s.cfg.Wrap != nil {
 			algo = s.cfg.Wrap(i, algo)
@@ -590,10 +586,12 @@ func (s *Server) checkpointLoop() {
 		case <-s.ckptStop:
 			return
 		case <-t.C:
-			// Best-effort: a failed background checkpoint leaves the
-			// previous one and the full WAL, which is still correct —
-			// recovery just replays more.
-			_ = s.checkpoint()
+			// A failed background checkpoint leaves the previous one
+			// and the full WAL, which is still correct — recovery just
+			// replays more — so it is counted, not fatal.
+			if s.checkpoint() != nil {
+				s.ckptErrs.Add(1)
+			}
 		}
 	}
 }
@@ -856,13 +854,10 @@ func (s *Server) handleTopo(m wire.Topo, payload []byte) (wire.Type, []byte) {
 	})
 }
 
-// handleStats answers with the tenant's cumulative ledger: the
-// recovery base (work before the last restart, checkpoint plus WAL
-// replay) merged with the engine's published counters (work since
-// boot). The merge is a componentwise max for the ledger — both cover
-// the recovered prefix, published values are cumulative and monotone —
-// and a sum for the round count, which the engine counts from zero
-// each boot.
+// handleStats answers with the tenant's shard stats as the engine
+// published them. Rounds and the ledger are the algorithm's own
+// counters, so they span restarts: a restored instance carries its
+// checkpoint and replayed log tail.
 func (s *Server) handleStats(m wire.StatsReq) (wire.Type, []byte) {
 	if m.Tenant < 0 || m.Tenant >= len(s.tenants) {
 		return wire.TError, wire.ErrMsg{Msg: fmt.Sprintf("server: tenant %d out of range [0,%d)", m.Tenant, len(s.tenants))}.Encode()
@@ -872,14 +867,13 @@ func (s *Server) handleStats(m wire.StatsReq) (wire.Type, []byte) {
 	lastSeq := ts.lastSeq
 	ts.mu.Unlock()
 	ss := s.engine().Stats().Shards[m.Tenant]
-	led := s.base[m.Tenant]
 	reply := wire.StatsReply{
 		Tenant:   m.Tenant,
-		Rounds:   s.baseRounds[m.Tenant] + ss.Rounds,
-		Serve:    max64(led.Serve, ss.Serve),
-		Move:     max64(led.Move, ss.Move),
-		Fetched:  max64(led.Fetched, ss.Fetched),
-		Evicted:  max64(led.Evicted, ss.Evicted),
+		Rounds:   ss.Rounds,
+		Serve:    ss.Serve,
+		Move:     ss.Move,
+		Fetched:  ss.Fetched,
+		Evicted:  ss.Evicted,
 		Restarts: ss.Restarts,
 		Dropped:  ss.Dropped,
 		LastSeq:  lastSeq,
@@ -894,11 +888,4 @@ func (s *Server) handleSnapshot() error {
 		return errors.New("server: no state directory configured")
 	}
 	return s.checkpoint()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -780,3 +780,99 @@ func TestServerWALLegacyLayout(t *testing.T) {
 		checkRecovered(t, cl, i, n+1, frameOracle(tr, frames[i]))
 	}
 }
+
+// TestServerStatsRoundsWithdrawn: a request to a withdrawn rule is a
+// free no-op for the tenant's algorithm, not a round, and the stats
+// reply counts rounds the algorithm's way both before and after a
+// restart. The tenant attaches leaf 63, withdraws it, then requests
+// +5, +63, +63, +7: two rounds, whichever life of the daemon answers.
+func TestServerStatsRoundsWithdrawn(t *testing.T) {
+	addr := reserveAddr(t)
+	dir := t.TempDir()
+	frames := []walFrame{
+		{muts: []trace.Mutation{trace.InsertMut(63, 3)}},
+		{muts: []trace.Mutation{trace.DeleteMut(63)}},
+		{batch: trace.Trace{trace.Pos(5), trace.Pos(63), trace.Pos(63), trace.Pos(7)}},
+	}
+	ref := frameOracle(walTestTree(), frames)
+	if ref.Round() != 2 {
+		t.Fatalf("oracle Round %d, want 2", ref.Round())
+	}
+
+	srv := startServer(t, walServerConfig(addr, dir))
+	cl := client.New(client.Config{Addr: addr, Seed: 53})
+	for i, f := range frames {
+		if err := send(cl, 0, f); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	srv.Engine().Drain() // acks promise durability, not service
+	checkRecovered(t, cl, 0, uint64(len(frames)), ref)
+	cl.Close()
+	srv.Kill()
+
+	srv2 := startServer(t, walServerConfig(addr, dir))
+	defer shutdownServer(t, srv2)
+	cl2 := client.New(client.Config{Addr: addr, Seed: 54})
+	defer cl2.Close()
+	checkRecovered(t, cl2, 0, uint64(len(frames)), ref)
+}
+
+// TestServerCheckpointErrorsCounted: a periodic checkpoint that fails
+// is counted in treecache_durable_checkpoint_errors_total instead of
+// vanishing, and the log it could not truncate keeps every record. A
+// directory where the checkpoint's temporary file goes makes every
+// write fail, even for root.
+func TestServerCheckpointErrorsCounted(t *testing.T) {
+	addr := reserveAddr(t)
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "checkpoint.tcckpt.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := walServerConfig(addr, dir)
+	cfg.AdminAddr = "127.0.0.1:0"
+	cfg.CheckpointInterval = 5 * time.Millisecond
+	srv := startServer(t, cfg)
+
+	const nBatches = 8
+	cl := client.New(client.Config{Addr: addr, Seed: 55})
+	for i, b := range walTestBatches(nBatches, 8) {
+		if err := cl.Serve(0, b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	cl.Close()
+	metric := func(body, name string) string {
+		for _, line := range strings.Split(body, "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+				return f[1]
+			}
+		}
+		t.Fatalf("/metrics lacks %s:\n%s", name, body)
+		return ""
+	}
+	var body string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		_, body = adminGet(t, srv, "/metrics")
+		if metric(body, "treecache_durable_checkpoint_errors_total") != "0" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no failed periodic checkpoint was counted")
+		}
+	}
+	if got := metric(body, "treecache_durable_checkpoints_total"); got != "0" {
+		t.Fatalf("%s checkpoints committed through a blocked temp file", got)
+	}
+	srv.Kill()
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := startServer(t, walServerConfig(addr, dir))
+	defer shutdownServer(t, srv2)
+	if got := srv2.Replayed(0); got != nBatches {
+		t.Fatalf("replayed %d records, want %d: a failed checkpoint truncated the log", got, nBatches)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"repro/internal/wal"
 )
 
 // State-directory layout. A checkpoint is ONE file, checkpoint.tcckpt,
@@ -87,21 +89,7 @@ func writeFileDurable(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a just-renamed entry in it survives a
-// system crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return wal.SyncDir(filepath.Dir(path))
 }
 
 // encodeCheckpoint serializes one checkpoint: every shard's snapshot

@@ -1,7 +1,7 @@
 // Package sim drives online tree-caching algorithms over request
 // traces and collects cost metrics. It defines the Algorithm interface
 // that TC, the baselines and replayed offline solutions all implement,
-// plus helpers for adaptive (adversarial) inputs and parameter sweeps.
+// plus helpers for adaptive (adversarial) inputs and side-by-side runs.
 package sim
 
 import (

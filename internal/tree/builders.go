@@ -147,6 +147,34 @@ func Random(rng *rand.Rand, n int, depthBias float64) *Tree {
 	return MustNew(parents)
 }
 
+// FromShape builds the named shape with n ≥ 1 nodes: path, star,
+// binary, ternary, caterpillar (legs of 2, so n rounds down to a
+// multiple of 3, at least 3) or random (a random recursive tree drawn
+// from rng, which no other shape reads). It is the one shape table of
+// the command-line tools, so a daemon and its replaying client given
+// the same flags serve the same tree. An unknown shape or n < 1 is an
+// error.
+func FromShape(rng *rand.Rand, shape string, n int) (*Tree, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("tree: %s shape needs at least 1 node, got %d", shape, n)
+	}
+	switch shape {
+	case "path":
+		return Path(n), nil
+	case "star":
+		return Star(n), nil
+	case "binary":
+		return CompleteKary(n, 2), nil
+	case "ternary":
+		return CompleteKary(n, 3), nil
+	case "caterpillar":
+		return Caterpillar(max(n/3, 1), 2), nil
+	case "random":
+		return Random(rng, n, 1), nil
+	}
+	return nil, fmt.Errorf("tree: unknown shape %q (want path|star|binary|ternary|caterpillar|random)", shape)
+}
+
 // RandomShape draws one of the canonical shapes (path, star, binary,
 // ternary, caterpillar, random recursive) with n nodes, for fuzzing.
 func RandomShape(rng *rand.Rand, n int) *Tree {

@@ -80,6 +80,48 @@ func TestCaterpillarShape(t *testing.T) {
 	}
 }
 
+// TestFromShape pins the command-line shape table: each name's size,
+// height and branching, and the inputs it rejects.
+func TestFromShape(t *testing.T) {
+	for _, tc := range []struct {
+		shape               string
+		n, len, height, deg int
+	}{
+		{"path", 5, 5, 4, 1},
+		{"star", 5, 5, 1, 4},
+		{"binary", 7, 7, 2, 2},
+		{"ternary", 13, 13, 2, 3},
+		{"caterpillar", 10, 9, 3, 3},
+		{"caterpillar", 1, 3, 1, 2},
+		{"path", 1, 1, 0, 0},
+	} {
+		tr, err := FromShape(rand.New(rand.NewSource(1)), tc.shape, tc.n)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", tc.shape, tc.n, err)
+		}
+		if tr.Len() != tc.len || tr.Height() != tc.height || tr.MaxDegree() != tc.deg {
+			t.Errorf("%s/%d: len %d height %d maxDeg %d, want %d %d %d",
+				tc.shape, tc.n, tr.Len(), tr.Height(), tr.MaxDegree(), tc.len, tc.height, tc.deg)
+		}
+	}
+	// random draws from the rng: the same seed gives the same tree.
+	a, _ := FromShape(rand.New(rand.NewSource(7)), "random", 50)
+	b, _ := FromShape(rand.New(rand.NewSource(7)), "random", 50)
+	for v := NodeID(0); v < 50; v++ {
+		if a.Parent(v) != b.Parent(v) {
+			t.Fatalf("random shape differs at node %d for one seed", v)
+		}
+	}
+	for _, bad := range []struct {
+		shape string
+		n     int
+	}{{"binary", 0}, {"path", -1}, {"random", 0}, {"hexagon", 10}} {
+		if _, err := FromShape(rand.New(rand.NewSource(1)), bad.shape, bad.n); err == nil {
+			t.Errorf("FromShape(%q, %d) built a tree", bad.shape, bad.n)
+		}
+	}
+}
+
 func TestTwoSubtrees(t *testing.T) {
 	tr, root, r1, r2 := TwoSubtrees(7)
 	if tr.Len() != 15 || root != 0 {

@@ -153,7 +153,7 @@ func Open(path string, opts Options) (*Log, [][]byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
@@ -490,9 +490,9 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// syncDir fsyncs a directory so a just-created (or just-renamed) entry
-// in it survives a crash.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-created (or just-renamed) entry
+// in it survives a system crash.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

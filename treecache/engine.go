@@ -61,9 +61,6 @@ type EngineOptions struct {
 	// QueueLen is the per-shard batch queue capacity (default 64);
 	// Submit blocks while a shard's queue is full.
 	QueueLen int
-	// Parallelism caps how many shards serve concurrently (0 = one
-	// goroutine per shard, no extra cap).
-	Parallelism int
 	// CheckpointEvery sets the supervision checkpoint cadence in
 	// served messages: each shard snapshots its cache every that many
 	// messages (and at Drain points), journals the messages in
@@ -112,10 +109,9 @@ type Engine struct {
 // like New.
 //
 // Observer caveat: o.Observer, when non-nil, is shared by every shard
-// and invoked from all shard worker goroutines — it must be safe for
-// concurrent use. A non-thread-safe observer (e.g. the analysis
-// recorder) is only sound with Parallelism: 1, which serializes the
-// workers with proper happens-before edges (the token channel).
+// and invoked from all shard worker goroutines at once, so it must be
+// safe for concurrent use. A non-thread-safe observer (e.g. the
+// analysis recorder) belongs on a single Cache, not on an Engine.
 func NewEngine(trees []*Tree, o Options, eo EngineOptions) *Engine {
 	caches := make([]*Cache, len(trees))
 	var monitors []*metrics.RatioMonitor
@@ -140,7 +136,6 @@ func NewEngine(trees []*Tree, o Options, eo EngineOptions) *Engine {
 			return caches[i]
 		},
 		QueueLen:        eo.QueueLen,
-		Parallelism:     eo.Parallelism,
 		CheckpointEvery: eo.CheckpointEvery,
 		RatioMonitors:   monitors,
 	})

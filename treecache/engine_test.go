@@ -42,7 +42,7 @@ func TestPublicEngineFlow(t *testing.T) {
 		t.Fatalf("round trip length %d, want %d", len(back), len(mt))
 	}
 
-	eng := treecache.NewEngine(trees, opts, treecache.EngineOptions{Parallelism: 2})
+	eng := treecache.NewEngine(trees, opts, treecache.EngineOptions{})
 	if eng.Shards() != len(trees) {
 		t.Fatalf("shards = %d", eng.Shards())
 	}

@@ -156,6 +156,10 @@ func (c *Cache) ServeBatch(batch Trace) (serveCost, moveCost int64) { return c.t
 // MaxCacheLen returns the peak cache occupancy since the last Reset.
 func (c *Cache) MaxCacheLen() int { return c.tc.MaxCacheLen() }
 
+// Round returns the number of requests served since the last Reset. A
+// request to a withdrawn rule is free and is not a round.
+func (c *Cache) Round() int64 { return c.tc.Round() }
+
 // Name implements Algorithm.
 func (c *Cache) Name() string { return c.tc.Name() }
 
