@@ -103,6 +103,9 @@ func (a *TC) serveRun(req trace.Request, k int64) {
 			a.rounds += k
 			return
 		}
+		if a.chg != nil {
+			a.chg.mark(v) // a repeat within the run finds its bit set
+		}
 		if k == 1 {
 			// Singleton runs take Serve's one-pass path: the analytic
 			// saturation query would only duplicate the traversal.

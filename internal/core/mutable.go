@@ -315,6 +315,21 @@ func (a *TC) resolveSaturation(g int32) {
 	}
 }
 
+// resolveEviction evicts the cap H(r) of the cached tree containing
+// dense node v if its root r has a non-negative hval: a lift that
+// removed a negative link from a cached chain can leave H(r)
+// saturated between rounds, which TC's invariants (Lemma 5.1) forbid
+// and the negative serve path's climbs assume.
+func (a *TC) resolveEviction(v tree.NodeID) {
+	r := v
+	for p := a.t.Parent(r); p != tree.None && a.cache.Contains(p); p = a.t.Parent(r) {
+		r = p
+	}
+	if hA, _ := a.negRead(r); hA >= 0 {
+		a.applyEvict(r)
+	}
+}
+
 // stableObserver translates the embedded TC's event stream from dense
 // snapshot ids to stable ids, so an attached Observer sees ONE
 // coherent id space across epoch rebuilds. Dense ids are < the
@@ -387,6 +402,13 @@ type MutableTC struct {
 
 	rebuilds int64
 
+	// Export bookkeeping (ExportChanges): exports numbers the exports,
+	// fullExports counts those that re-derived every entry, and codec
+	// is the snapshot codec's per-instance encoder state.
+	exports     uint64
+	fullExports int64
+	codec       any
+
 	// Scratch, persistent across operations.
 	dbuf    trace.Trace   // dense-id request buffer of ServeBatch
 	cntH    []int64       // counter sweep output by heavy slot
@@ -398,6 +420,7 @@ type MutableTC struct {
 	hBv     []int64       // injection: hB by dense id
 	memBuf  []tree.NodeID // member scratch
 	state   MutableState  // ExportState's result, reused across captures
+	changed []tree.NodeID // ExportChanges' changed list, reused across captures
 }
 
 // NewMutable returns a dynamic-topology TC over initial topology t.
@@ -425,6 +448,11 @@ func (m *MutableTC) newInner(t *tree.Tree) *TC {
 	}
 	tc := New(t, inner)
 	tc.ov = newOverlay()
+	var chg *changeSet
+	if m.tc != nil {
+		chg = m.tc.chg // a rebuild: reuse the buffers, re-derive everything
+	}
+	tc.chg = newChangeSet(chg, t.Len())
 	return tc
 }
 
@@ -461,6 +489,19 @@ func (m *MutableTC) Round() int64 { return m.tc.Round() }
 
 // Phase returns the current 0-based phase index.
 func (m *MutableTC) Phase() int64 { return m.tc.Phase() }
+
+// PhaseRounds returns the number of requests served in the current
+// phase.
+func (m *MutableTC) PhaseRounds() int64 { return m.tc.rounds }
+
+// Codec returns what a codec stored with SetCodec, or nil.
+// internal/snapshot keeps the encoding of the instance's last capture
+// here, so every capture of the instance, whoever asks for it, patches
+// that one cache. ImportState clears it.
+func (m *MutableTC) Codec() any { return m.codec }
+
+// SetCodec stores a codec's per-instance state (see Codec).
+func (m *MutableTC) SetCodec(c any) { m.codec = c }
 
 // CacheLen returns the live cache occupancy.
 func (m *MutableTC) CacheLen() int { return m.tc.effCacheLen() }
@@ -696,8 +737,8 @@ func (m *MutableTC) ovNegative(l *ovLeaf) {
 // that would overflow the capacity the phase ends first, exactly like
 // an overflowing fetch.
 func (m *MutableTC) Insert(parent tree.NodeID) (tree.NodeID, error) {
-	if !m.dyn.Live(parent) {
-		return tree.None, fmt.Errorf("core: insert under dead or unknown node %d", parent)
+	if err := m.checkInsert(parent); err != nil {
+		return tree.None, err
 	}
 	if m.dyn.Dense(parent) == tree.None {
 		// The parent is itself an overlay leaf; promote it into the
@@ -709,6 +750,9 @@ func (m *MutableTC) Insert(parent tree.NodeID) (tree.NodeID, error) {
 	if err != nil {
 		return tree.None, err
 	}
+	// No snapshot entry changes: the leaf is an overlay entry, re-listed
+	// on every export, and its parent's counter stays (a non-cached leaf
+	// joins the parent's cap with count 0, a cached one has hA < 0).
 	a := m.tc
 	ov := a.ov
 	gp := m.dyn.Dense(parent)
@@ -739,6 +783,18 @@ func (m *MutableTC) Insert(parent tree.NodeID) (tree.NodeID, error) {
 	return v, nil
 }
 
+// checkInsert fails, before anything changes, an insertion under a
+// parent that is not live or into a full id space.
+func (m *MutableTC) checkInsert(parent tree.NodeID) error {
+	if !m.dyn.Live(parent) {
+		return fmt.Errorf("core: insert under dead or unknown node %d", parent)
+	}
+	if m.dyn.Full() {
+		return fmt.Errorf("core: insert under %d: %w", parent, tree.ErrIDSpaceFull)
+	}
+	return nil
+}
+
 // InsertBetween inserts a fresh rule under live node parent and moves
 // the given live children of parent below it (LMP reparenting of
 // covered prefixes). Interior insertion is structural: the instance
@@ -747,8 +803,8 @@ func (m *MutableTC) InsertBetween(parent tree.NodeID, adopt []tree.NodeID) (tree
 	if len(adopt) == 0 {
 		return m.Insert(parent)
 	}
-	if !m.dyn.Live(parent) {
-		return tree.None, fmt.Errorf("core: insert under dead or unknown node %d", parent)
+	if err := m.checkInsert(parent); err != nil {
+		return tree.None, err
 	}
 	for _, c := range adopt {
 		if !m.dyn.Live(c) || m.dyn.Parent(c) != parent {
@@ -803,6 +859,7 @@ func (m *MutableTC) Delete(v tree.NodeID) error {
 		// Overlay leaf: undo its overlay record.
 		i := ov.idx[v]
 		l := &ov.leaves[i]
+		a.chg.mark(l.parent) // a non-cached leaf's counter settles into it
 		gp := a.t.HeavySlot(l.parent)
 		wasCached := l.cached
 		if wasCached {
@@ -831,6 +888,8 @@ func (m *MutableTC) Delete(v tree.NodeID) error {
 	} else {
 		// Snapshot node that is a leaf of the live topology (its
 		// snapshot descendants, if any, are tombstones already).
+		a.chg.mark(g)             // a tombstone has no counter
+		a.chg.mark(a.t.Parent(g)) // takes a non-cached g's counter; never None (the root is permanent)
 		gs := a.t.HeavySlot(g)
 		if a.cache.Contains(g) {
 			hA, hB := a.negRead(g)
@@ -863,18 +922,36 @@ func (m *MutableTC) Delete(v tree.NodeID) error {
 func (m *MutableTC) deleteLift(v tree.NodeID) error {
 	p := m.dyn.Parent(v)
 	m.flushState()
-	if m.cachedS[v] {
+	cached := m.cachedS[v]
+	if cached {
 		m.tc.led.PayEvict(1) // forced eviction: the counter resets with it
 	} else {
 		m.cntS[p] += m.cntS[v] // settle into the parent
 	}
-	if _, err := m.dyn.DeleteLift(v); err != nil {
+	lifted, err := m.dyn.DeleteLift(v)
+	if err != nil {
 		panic("core: validated DeleteLift failed: " + err.Error())
 	}
 	m.installSnapshot(m.dyn.Rebuild())
-	// The caps enclosing p shrank; restore the Lemma 5.1(3) invariant.
-	if !m.Cached(p) {
+	if !cached {
+		// The caps enclosing p (non-cached, like v) shrank; restore the
+		// Lemma 5.1(3) invariant.
 		m.tc.resolveSaturation(m.tc.t.HeavySlot(m.dyn.Dense(p)))
+		return nil
+	}
+	// No cap changed: v and its subtree were cached. But v, when hA(v)
+	// < 0, absorbed its children's hval contributions. Lifted, they
+	// reach p's cached chain, or each roots a cached tree of its own
+	// under a non-cached p, and a cached-tree root whose hval turned
+	// non-negative is a saturated eviction (Lemma 5.1), applied now.
+	if m.Cached(p) {
+		m.tc.resolveEviction(m.dyn.Dense(p))
+		return nil
+	}
+	for _, c := range lifted {
+		if m.Cached(c) {
+			m.tc.resolveEviction(m.dyn.Dense(c))
+		}
 	}
 	return nil
 }

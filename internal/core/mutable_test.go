@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -647,4 +648,40 @@ func FuzzChurnDifferential(f *testing.F) {
 			t.Fatalf("ledgers differ: %+v vs %+v", lazy.Ledger(), eager.Ledger())
 		}
 	})
+}
+
+// TestDeleteLiftEvictsSaturatedCap pins the eviction a lifting
+// withdrawal can saturate. On the path 0-…-5 with α 2 and {2,…,5}
+// cached at counters 1, 2, 0, 3, the hvals are hA(5) = 1, hA(4) = −1,
+// hA(3) = 0, hA(2) = −1: node 4 absorbs 5's contribution and the
+// cached-tree root 2 stays negative. Withdrawing 4 lifts 5 under 3,
+// so hA(3) = 1 and hA(2) = 0: H(2) = {2, 3, 5} is saturated and must
+// be evicted with the withdrawal. Without that, the next negative
+// request to 5 climbed past the root and panicked (a Lemma 5.1
+// breach).
+func TestDeleteLiftEvictsSaturatedCap(t *testing.T) {
+	cfg := MutableConfig{Config: Config{Alpha: 2, Capacity: 8}}
+	st := &MutableState{NextID: 6, Led: cache.Ledger{Alpha: 2}}
+	for v, c := range []int64{0, 0, 1, 2, 0, 3} {
+		id := tree.NodeID(v)
+		st.Nodes = append(st.Nodes, NodeState{ID: id, Parent: id - 1, Cnt: c, Live: true, InSnap: true, Cached: v >= 2})
+	}
+	st.Nodes[0].Parent = tree.None
+	m, err := RestoreMutable(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Delete(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.CacheMembers(); len(got) != 0 {
+		t.Fatalf("cache after the lift: %v, want the saturated cap {2,3,5} evicted", got)
+	}
+	if led := m.Ledger(); led.Evicted != 4 {
+		t.Fatalf("evicted %d nodes, want 4 (the withdrawn rule and H(2))", led.Evicted)
+	}
+	m.Serve(trace.Neg(5)) // unpaid now; it used to panic
+	if m.Ledger().Serve != 0 {
+		t.Fatalf("a request to an evicted node paid: %+v", m.Ledger())
+	}
 }

@@ -230,6 +230,14 @@ type TC struct {
 	// and nothing on the per-request serve path.
 	ov *tcOverlay
 
+	// chg, when non-nil, records the nodes whose exported entry may have
+	// changed since the last export (MutableTC's inner TC; see
+	// changeSet). A counter moves only on a paid request, an applied
+	// changeset or a phase end, so those are the marking sites. Marks
+	// are direct nil-checked calls, not Observer events: an observer
+	// switches ServeBatch to per-request serving.
+	chg *changeSet
+
 	// Scratch buffers reused across rounds; Serve never heap-allocates
 	// in steady state.
 	xbuf    []tree.NodeID
@@ -380,6 +388,9 @@ func (a *TC) Reset() {
 	if a.ov != nil {
 		a.ov.afterFlush(a)
 	}
+	if a.chg != nil {
+		a.chg.markAll()
+	}
 }
 
 // Serve processes the request of the next round and returns the serving
@@ -397,6 +408,9 @@ func (a *TC) Serve(req trace.Request) (serveCost, moveCost int64) {
 		// Counters unchanged; by Lemma 5.1(3) no changeset can have
 		// become saturated, so the cache stays put.
 		return 0, 0
+	}
+	if a.chg != nil {
+		a.chg.mark(v)
 	}
 	a.led.PayServe()
 	moveBefore := a.led.Move
@@ -736,6 +750,9 @@ func (a *TC) applyFetch(u tree.NodeID, gu int32, c int64, s int32) {
 	// reverse order works).
 	for i := len(x) - 1; i >= 0; i-- {
 		a.initHval(x[i])
+	}
+	if a.chg != nil {
+		a.chg.markNodes(x) // fetched counters reset
 	}
 	if a.cfg.Observer != nil {
 		a.cfg.Observer.OnApply(a.round, x, true)
@@ -1176,6 +1193,9 @@ func (a *TC) applyEvict(r tree.NodeID) {
 	} else if nav.Up() >= 0 {
 		a.posRootPathAdd(nav.Up(), -a.cfg.Alpha*int64(total), int32(total))
 	}
+	if a.chg != nil {
+		a.chg.markNodes(x) // evicted counters reset
+	}
 	if a.cfg.Observer != nil {
 		a.cfg.Observer.OnApply(a.round, x, false)
 	}
@@ -1226,6 +1246,9 @@ func (a *TC) endPhase(wouldFetch []tree.NodeID) {
 	a.phase++
 	a.rounds = 0
 	a.epoch++ // all keys and hvals (and hence counters) reset lazily
+	if a.chg != nil {
+		a.chg.markAll()
+	}
 	if a.ov != nil {
 		// The lazy reset restores phase-start state for the snapshot
 		// shape; the overlay re-applies the live topology's deltas

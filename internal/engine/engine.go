@@ -57,6 +57,13 @@
 // Unsupervised shards keep plain Go semantics — a panic propagates and
 // crashes the process.
 //
+// A capture of a core.MutableTC (through snapshot.Checkpointed) costs
+// O(entries changed since the shard's previous capture) plus one copy
+// and one CRC of the blob. It re-derives every entry — the first
+// capture, and any after a phase end, a rebuild, a restore, or with
+// more entries changed than patching them beats a sweep — in one
+// linear sweep instead; the worker counts those in CkptFull.
+//
 // Checkpoint hands the fleet's state to a caller that persists it
 // (treecached's durable checkpoint). Every blob comes from the one
 // capture rule supervision uses — Snapshot, then VerifySnapshot — taken
@@ -124,6 +131,16 @@ type BatchServer interface {
 type Checkpointer interface {
 	Snapshot() ([]byte, error)
 	Restore(data []byte) error
+}
+
+// FullExporter is optionally implemented alongside Checkpointer by
+// algorithms whose captures cost only what changed since the previous
+// one (core.MutableTC, through snapshot.Checkpointed): FullExports
+// counts the state exports that re-derived every entry instead. The
+// worker reads it around each capture and counts the full ones in
+// CkptFull.
+type FullExporter interface {
+	FullExports() int64
 }
 
 // SnapshotVerifier is optionally implemented alongside Checkpointer.
@@ -195,14 +212,17 @@ type ShardStats struct {
 	// verification-rejected captures, and Dropped whole messages
 	// abandoned after exhausting panic retries. CkptNs is the total
 	// wall time spent capturing and verifying checkpoints (accepted or
-	// not), CkptBytes the size of the last accepted one. On an
-	// unsupervised shard only Checkpoint's captures count.
+	// not), CkptBytes the size of the last accepted one, and CkptFull
+	// the captures (accepted or not) that re-derived every entry, on a
+	// FullExporter. On an unsupervised shard only Checkpoint's captures
+	// count.
 	Restarts    int64
 	Checkpoints int64
 	CkptErrs    int64
 	Dropped     int64
 	CkptNs      int64
 	CkptBytes   int64
+	CkptFull    int64
 	// Latency is the shard's per-request service-latency histogram:
 	// each served batch records its amortized per-request latency
 	// (batch wall time / batch size) with weight = batch size, so
@@ -292,7 +312,7 @@ type counters struct {
 	topoOK, topoErrs                int64
 	restarts, checkpoints, ckptErrs int64
 	dropped                         int64
-	ckptNs, ckptBytes               int64
+	ckptNs, ckptBytes, ckptFull     int64
 	lat                             metrics.Histogram
 }
 
@@ -302,12 +322,14 @@ type shard struct {
 	algo Algorithm
 	topo TopologyServer // non-nil when algo accepts topology mutations
 	ck   Checkpointer   // non-nil when algo captures and restores its state
-	// verify is algo's SnapshotVerifier, nil when it has none.
-	verify func([]byte) error
-	sup    *supervisor           // non-nil when the shard runs supervised
-	ratio  *metrics.RatioMonitor // non-nil when a ratio monitor is attached
-	in     chan message
-	done   chan struct{}
+	// verify is algo's SnapshotVerifier and fullExports its
+	// FullExporter, each nil when it has none.
+	verify      func([]byte) error
+	fullExports func() int64
+	sup         *supervisor           // non-nil when the shard runs supervised
+	ratio       *metrics.RatioMonitor // non-nil when a ratio monitor is attached
+	in          chan message
+	done        chan struct{}
 	// pub is the published snapshot: a fresh immutable ShardStats is
 	// stored by New and then once per message by the shard's single
 	// writer, so readers always see an internally consistent (never
@@ -375,6 +397,9 @@ func New(cfg Config) *Engine {
 		s.ck, _ = algo.(Checkpointer)
 		if v, ok := algo.(SnapshotVerifier); ok && s.ck != nil {
 			s.verify = v.VerifySnapshot
+		}
+		if f, ok := algo.(FullExporter); ok && s.ck != nil {
+			s.fullExports = f.FullExports
 		}
 		if s.ck != nil && cfg.CheckpointEvery >= 0 {
 			every := cfg.CheckpointEvery
@@ -851,11 +876,19 @@ func (sup *supervisor) recover(s *shard) {
 
 // capture is the one capture rule: Snapshot, then VerifySnapshot when
 // the algorithm has it. An accepted blob counts in Checkpoints, a
-// failed or rejected one in CkptErrs; capture plus verification is
-// timed with two clock reads.
+// failed or rejected one in CkptErrs, and one that re-derived every
+// entry also in CkptFull; capture plus verification is timed with two
+// clock reads.
 func (s *shard) capture(w *counters) ([]byte, error) {
 	start := time.Now()
+	var full int64
+	if s.fullExports != nil {
+		full = s.fullExports()
+	}
 	blob, err := s.ck.Snapshot()
+	if s.fullExports != nil && s.fullExports() != full {
+		w.ckptFull++
+	}
 	if err == nil && s.verify != nil {
 		err = s.verify(blob)
 	}
@@ -964,6 +997,7 @@ func (s *shard) publish(w *counters) {
 		Dropped:     w.dropped,
 		CkptNs:      w.ckptNs,
 		CkptBytes:   w.ckptBytes,
+		CkptFull:    w.ckptFull,
 		Latency:     w.lat,
 	})
 }

@@ -114,6 +114,8 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 		func(s ShardStats) int64 { return s.Dropped })
 	counter("treecache_checkpoint_ns_total", "Wall time spent capturing and verifying state, accepted or not, nanoseconds.",
 		func(s ShardStats) int64 { return s.CkptNs })
+	counter("treecache_checkpoint_full_total", "State captures that re-derived every entry (the first, and any after a phase end, rebuild or restore, or with too many entries changed to patch); the others cost what changed.",
+		func(s ShardStats) int64 { return s.CkptFull })
 
 	gauge("treecache_queue_depth", "Shard queue occupancy at scrape time.",
 		func(s ShardStats) int64 { return int64(s.QueueDepth) })

@@ -118,6 +118,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			"treecache_competitive_ratio", "treecache_competitive_ratio_worst",
 			"treecache_ratio_windows_total",
 			"treecache_checkpoint_ns_total", "treecache_checkpoint_bytes",
+			"treecache_checkpoint_full_total",
 		} {
 			if _, ok := samples[name+lbl]; !ok {
 				t.Fatalf("missing series %s%s\n%s", name, lbl, body)
@@ -134,6 +135,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		ns, size := samples["treecache_checkpoint_ns_total"+lbl], samples["treecache_checkpoint_bytes"+lbl]
 		if supervised := s == 1; supervised != (ns > 0) || supervised != (size > 0) {
 			t.Fatalf("shard %d (supervised %v): checkpoint_ns_total = %v, checkpoint_bytes = %v", s, supervised, ns, size)
+		}
+		// Its first capture re-derived every entry.
+		if full := samples["treecache_checkpoint_full_total"+lbl]; (s == 1) != (full >= 1) {
+			t.Fatalf("shard %d: checkpoint_full_total = %v", s, full)
 		}
 		if ratio := samples["treecache_competitive_ratio"+lbl]; ratio <= 0 {
 			t.Fatalf("shard %d competitive ratio = %v, want > 0", s, ratio)

@@ -157,6 +157,61 @@ func TestCheckpointCadence(t *testing.T) {
 	}
 }
 
+// TestCheckpointFullCaptures pins the full-capture count of a
+// supervised MutableTC shard at cadence 1: captures after small batches
+// cost what changed, and the first capture, a rebuild (a lifting
+// withdrawal) and a phase end each make exactly one full capture.
+func TestCheckpointFullCaptures(t *testing.T) {
+	base := tree.CompleteKary(255, 2) // leaves 127..254
+	eng := engine.New(engine.Config{
+		Shards:          1,
+		CheckpointEvery: 1,
+		NewShard: func(int) engine.Algorithm {
+			m := core.NewMutable(base, core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 4}})
+			return snapshot.Checkpointed{MutableTC: m}
+		},
+	})
+	defer eng.Close()
+	leaf := tree.NodeID(127)
+	small := func(n int) { // n batches of two requests to fresh leaves: no fetch
+		for i := 0; i < n; i++ {
+			if err := eng.Submit(0, trace.Trace{trace.Pos(leaf), trace.Pos(leaf + 1)}); err != nil {
+				t.Fatal(err)
+			}
+			leaf += 2
+		}
+	}
+	check := func(step string, checkpoints, full int64) {
+		t.Helper()
+		eng.Drain()
+		st := eng.Stats().Shards[0]
+		if st.Checkpoints != checkpoints || st.CkptFull != full || st.CkptErrs != 0 {
+			t.Fatalf("%s: checkpoints %d, full %d, errors %d; want %d, %d, 0",
+				step, st.Checkpoints, st.CkptFull, st.CkptErrs, checkpoints, full)
+		}
+	}
+	small(6)
+	check("small batches", 7, 1)
+	if err := eng.ApplyTopology(0, []trace.Mutation{trace.DeleteMut(1)}); err != nil {
+		t.Fatal(err)
+	}
+	small(2)
+	check("after a rebuild", 10, 2)
+	// Five leaves α requests each: the fifth fetch overflows capacity 4.
+	var overflow trace.Trace
+	for i := 0; i < 5; i++ {
+		for k := 0; k < 4; k++ {
+			overflow = append(overflow, trace.Pos(leaf))
+		}
+		leaf++
+	}
+	if err := eng.Submit(0, overflow); err != nil {
+		t.Fatal(err)
+	}
+	small(2)
+	check("after a phase end", 13, 3)
+}
+
 // TestEngineCheckpoint pins the durable capture rule: every blob passed
 // verification and restores the shard's state; a supervised shard with
 // an empty journal hands back its last accepted capture instead of

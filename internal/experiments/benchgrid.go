@@ -83,12 +83,16 @@ func Benches() []Bench {
 		{Name: "TCChurn/rate=16", Run: churnBench(16)},
 		{Name: "TCChurn/rate=256", Run: churnBench(256)},
 
-		// One supervision checkpoint (Snapshot + VerifySnapshot, as the
-		// engine takes it) of the same algorithm state, with and
-		// without 65,536 withdrawn ids in the id space: the pair
-		// prices what a capture pays for ids that no longer exist.
-		{Name: "Checkpoint/withdrawn=0", Run: checkpointBench(0)},
-		{Name: "Checkpoint/withdrawn=65536", Run: checkpointBench(1 << 16)},
+		// One supervision window per op: serve the next 2048 requests
+		// (fib-small's window, 32 frames of 64), then take one
+		// checkpoint as the engine does (Snapshot + VerifySnapshot), of
+		// the same algorithm state with and without 65,536 withdrawn ids
+		// in the id space; the pair prices what a capture pays for ids
+		// that no longer exist. The capture=0 control makes a capture's
+		// cost a same-process subtraction.
+		{Name: "Checkpoint/withdrawn=0", Run: checkpointBench(0, true)},
+		{Name: "Checkpoint/withdrawn=65536", Run: checkpointBench(1<<16, true)},
+		{Name: "Checkpoint/withdrawn=0/capture=0", Run: checkpointBench(0, false)},
 
 		// The sharded engine: 4 shards with one ApplyTopology message
 		// (one mutation per 16 requests) between a shard's batches;
@@ -226,13 +230,21 @@ func churnBench(rate int) func(*testing.B) {
 	}
 }
 
-// checkpointBench times one Snapshot + VerifySnapshot per op of a
-// MutableTC over benchTree. The instance first announces and withdraws
-// withdrawn leaves (the churn rows' schedule) and rebuilds, which grows
-// only its id space and epoch, then serves a RandomMixed trace, so both
-// rows capture the same algorithm state. The blob size is reported as
-// blob-B, the yardstick for B/op.
-func checkpointBench(withdrawn int) func(*testing.B) {
+// checkpointWindow is the requests one Checkpoint row op serves: the
+// requests between two supervision captures on fib-small.
+const checkpointWindow = 2048
+
+// checkpointBench times one supervision window per op on a MutableTC
+// over benchTree: ServeBatch the next checkpointWindow requests of a
+// RandomMixed trace, then, when capture is set, Snapshot +
+// VerifySnapshot. Captures cost what changed since the previous one,
+// so each op serves before it captures. The instance first announces
+// and withdraws withdrawn leaves (the churn rows' schedule) and
+// rebuilds, which grows only its id space and epoch, serves a warm-up
+// trace and takes its first (full) capture untimed, so every row times
+// the same algorithm states. A capturing row reports its last blob's
+// size as blob-B, the yardstick for B/op.
+func checkpointBench(withdrawn int, capture bool) func(*testing.B) {
 	return func(b *testing.B) {
 		t := benchTree()
 		m := core.NewMutable(t, core.MutableConfig{Config: core.Config{Alpha: 8, Capacity: t.Len() / 2}})
@@ -243,15 +255,21 @@ func checkpointBench(withdrawn int) func(*testing.B) {
 			}
 		}
 		m.Rebuild()
-		for _, req := range trace.RandomMixed(rand.New(rand.NewSource(1)), t, 1<<16) {
-			m.Serve(req)
-		}
+		m.ServeBatch(trace.RandomMixed(rand.New(rand.NewSource(1)), t, 1<<16))
+		input := trace.RandomMixed(rand.New(rand.NewSource(2)), t, 1<<16)
 		ck := snapshot.Checkpointed{MutableTC: m}
-		var blob []byte
+		blob, err := ck.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var err error
+			lo := (i * checkpointWindow) & (len(input) - 1)
+			m.ServeBatch(input[lo : lo+checkpointWindow])
+			if !capture {
+				continue
+			}
 			if blob, err = ck.Snapshot(); err != nil {
 				b.Fatal(err)
 			}
@@ -259,7 +277,9 @@ func checkpointBench(withdrawn int) func(*testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(len(blob)), "blob-B")
+		if capture {
+			b.ReportMetric(float64(len(blob)), "blob-B")
+		}
 	}
 }
 

@@ -166,6 +166,7 @@ type Algo struct {
 
 var _ Inner = (*Algo)(nil)
 var _ engine.SnapshotVerifier = (*Algo)(nil)
+var _ engine.FullExporter = (*Algo)(nil)
 
 // Wrap pairs an algorithm with a fault plan.
 func Wrap(inner Inner, inj *Injector) *Algo { return &Algo{Inner: inner, Inj: inj} }
@@ -227,6 +228,15 @@ func (a *Algo) Snapshot() ([]byte, error) {
 }
 
 func (a *Algo) Restore(data []byte) error { return a.Inner.Restore(data) }
+
+// FullExports forwards to the inner algorithm's count, 0 when it keeps
+// none.
+func (a *Algo) FullExports() int64 {
+	if f, ok := a.Inner.(engine.FullExporter); ok {
+		return f.FullExports()
+	}
+	return 0
+}
 
 // VerifySnapshot forwards to the inner verifier when there is one.
 func (a *Algo) VerifySnapshot(data []byte) error {

@@ -27,12 +27,23 @@
 // The present ids are the snapshot-resident ones (live or tombstoned)
 // and the live overlay leaves. Every other id below nextID was
 // withdrawn and is implicit — a run of them between two entries is one
-// gap varint, a run after the last entry costs nothing — so a capture
-// takes O(snapshot + overlay) time and bytes however many ids the
-// instance ever withdrew, and a state without withdrawals encodes
-// exactly as large as it did in version 1. Version 1 listed every id
-// of the space with the same per-entry layout and no gap bit, the id
-// count standing where nextID does; Restore still reads it.
+// gap varint, a run after the last entry costs nothing — so a blob
+// takes O(snapshot + overlay) bytes however many ids the instance ever
+// withdrew, and a state without withdrawals encodes exactly as large
+// as it did in version 1. Version 1 listed every id of the space with
+// the same per-entry layout and no gap bit, the id count standing
+// where nextID does; Restore still reads it.
+//
+// A capture costs what changed since the instance's previous one:
+// core.MutableTC.ExportChanges re-derives only the entries whose
+// node a paid request, an applied changeset or a topology mutation
+// touched, and the encoder kept with the instance copies the previous
+// payload's unchanged entries and re-encodes those: O(changed +
+// overlay) plus one copy and one CRC of the blob. The first capture,
+// and any after a phase end, Reset, rebuild or restore, with too many
+// entries changed to patch (the export's sweep cutover), or after an
+// export the encoder did not see, encodes every entry afresh. The
+// bytes are the same either way.
 //
 // Every read is bounds-checked and every integrity failure — bad
 // magic, unknown version, truncation, checksum mismatch, an id space
@@ -95,34 +106,71 @@ func wire(v int64) uint64 {
 // uvarintLen is the encoded length of x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// Capture serializes m's full observable state into one buffer: its
-// exact size is summed first, the header is reserved up front and the
-// checksum patched in place, so the blob is the only allocation.
+// Capture serializes m's full observable state into a fresh blob. The
+// encoding of the instance's previous capture is kept with the
+// instance (core.MutableTC.Codec), so a capture whose export is the
+// direct successor of that one copies the unchanged entries and
+// re-encodes only the changed ones; see encoder. The bytes are exactly
+// those of a capture from scratch.
 func Capture(m *core.MutableTC) ([]byte, error) {
-	st := m.ExportState()
+	st, ch := m.ExportChanges()
+	e, _ := m.Codec().(*encoder)
+	if e == nil {
+		e = new(encoder)
+		m.SetCodec(e)
+	}
+	return e.capture(m, st, ch), nil
+}
+
+// encoder is one instance's capture cache: a private copy of the
+// snapshot-entry section of the last payload it wrote (entries
+// 0..snap−1 of the export numbered seq) and where each entry starts in
+// it. It never reads a blob it has handed out: the engine keeps blobs
+// as recovery points and writes them to disk, and any holder may
+// modify its copy.
+type encoder struct {
+	seq  uint64  // export the cache holds; 0 while it holds none
+	body []byte  // encoded snapshot entries of export seq
+	off  []int32 // off[i]: start of entry i in body; off[snap] = len(body)
+	lens []int32 // scratch: re-encoded lengths of the changed entries
+}
+
+// capture encodes one export. If it is the direct successor of the
+// cached one, the blob is the header, the cached body with each changed
+// entry re-encoded in place of its old bytes (spliced when its length
+// changed), and the overlay leaves re-listed: O(changed + overlay)
+// encoding plus one copy of the body and one CRC pass. Otherwise every
+// entry is encoded afresh into the cache first.
+func (e *encoder) capture(m *core.MutableTC, st *core.MutableState, ch core.Changes) []byte {
+	patch := !ch.Full && e.seq != 0 && ch.Seq == e.seq+1 && ch.Snap == len(e.off)-1
+	e.seq = 0 // until this capture completes: a panic leaves no half-patched cache
+	nodes := st.Nodes
+	if !patch {
+		e.encodeAll(nodes[:ch.Snap])
+	}
 	// Header fields in wire order; rebuildFrac's 8 fixed bytes follow
-	// the first two.
+	// the first two. Sizing validates every field written below (wire).
 	head := [...]int64{m.Alpha(), int64(m.Capacity()),
 		st.Epoch, int64(st.Pending), st.Round, st.PhaseRounds, st.Phase, int64(st.Peak),
 		st.Led.Serve, st.Led.Move, st.Led.Fetched, st.Led.Evicted, int64(st.NextID)}
-
-	// Sizing pass. It also validates every field (wire), so the writing
-	// pass below converts directly.
-	size := headerLen + 8
+	size := headerLen + 8 + len(e.body)
 	for _, v := range head {
 		size += uvarintLen(wire(v))
 	}
-	prev := tree.NodeID(-1)
-	for i := range st.Nodes {
-		ns := &st.Nodes[i]
-		size += 1 + uvarintLen(wire(int64(ns.Parent)+1))
-		if gap := int64(ns.ID) - int64(prev) - 1; gap != 0 {
-			size += uvarintLen(wire(gap))
+	e.lens = e.lens[:0]
+	resized := false
+	if patch {
+		for _, i := range ch.Changed {
+			n := entryLen(&nodes[i], prevID(nodes, int(i)))
+			e.lens = append(e.lens, int32(n))
+			if d := n - int(e.off[i+1]-e.off[i]); d != 0 {
+				size += d
+				resized = true
+			}
 		}
-		if ns.Live {
-			size += uvarintLen(wire(ns.Cnt))
-		}
-		prev = ns.ID
+	}
+	for i := ch.Snap; i < len(nodes); i++ {
+		size += entryLen(&nodes[i], prevID(nodes, i))
 	}
 
 	out := make([]byte, headerLen, size)
@@ -135,35 +183,116 @@ func Capture(m *core.MutableTC) ([]byte, error) {
 	for _, v := range head[2:] {
 		out = binary.AppendUvarint(out, uint64(v))
 	}
-	prev = -1
-	for i := range st.Nodes {
-		ns := &st.Nodes[i]
-		var flags byte
-		if ns.Live {
-			flags |= flagLive
+	bodyAt := len(out)
+	if patch {
+		pos := int32(0) // next old-body byte to copy
+		for _, i := range ch.Changed {
+			out = append(out, e.body[pos:e.off[i]]...)
+			out = appendEntry(out, &nodes[i], prevID(nodes, int(i)))
+			pos = e.off[i+1]
 		}
-		if ns.InSnap {
-			flags |= flagInSnap
-		}
-		if ns.Cached {
-			flags |= flagCached
-		}
-		gap := uint64(int64(ns.ID) - int64(prev) - 1)
-		if gap != 0 {
-			flags |= flagGap
-		}
-		out = append(out, flags)
-		if gap != 0 {
-			out = binary.AppendUvarint(out, gap)
-		}
-		out = binary.AppendUvarint(out, uint64(int64(ns.Parent)+1))
-		if ns.Live {
-			out = binary.AppendUvarint(out, uint64(ns.Cnt))
-		}
-		prev = ns.ID
+		out = append(out, e.body[pos:]...)
+	} else {
+		out = append(out, e.body...)
+	}
+	body := out[bodyAt:]
+	for i := ch.Snap; i < len(nodes); i++ {
+		out = appendEntry(out, &nodes[i], prevID(nodes, i))
 	}
 	binary.LittleEndian.PutUint32(out[8:12], crc32.ChecksumIEEE(out[headerLen:]))
-	return out, nil
+
+	if patch {
+		e.update(body, ch.Changed, resized)
+	}
+	e.seq = ch.Seq
+	return out
+}
+
+// update brings the cache to the body just written: the changed
+// entries' bytes when every length stayed, otherwise the whole body
+// and the offsets shifted past each resized entry.
+func (e *encoder) update(body []byte, changed []tree.NodeID, resized bool) {
+	if !resized {
+		for _, i := range changed {
+			copy(e.body[e.off[i]:e.off[i+1]], body[e.off[i]:])
+		}
+		return
+	}
+	e.body = append(e.body[:0], body...)
+	shift, j := int32(0), 0 // offsets before j are final
+	for k, i := range changed {
+		old := e.off[i+1] - e.off[i]
+		if shift != 0 {
+			for ; j <= int(i); j++ {
+				e.off[j] += shift
+			}
+		}
+		j = int(i) + 1
+		shift += e.lens[k] - old
+	}
+	if shift != 0 {
+		for ; j < len(e.off); j++ {
+			e.off[j] += shift
+		}
+	}
+}
+
+// encodeAll encodes the snapshot entries into the cache from scratch.
+func (e *encoder) encodeAll(snap []core.NodeState) {
+	e.body = e.body[:0]
+	e.off = e.off[:0]
+	for i := range snap {
+		e.off = append(e.off, int32(len(e.body)))
+		e.body = appendEntry(e.body, &snap[i], prevID(snap, i))
+	}
+	e.off = append(e.off, int32(len(e.body)))
+}
+
+// prevID is the id entry i's gap counts from.
+func prevID(nodes []core.NodeState, i int) tree.NodeID {
+	if i == 0 {
+		return -1
+	}
+	return nodes[i-1].ID
+}
+
+// entryLen is the encoded length of entry ns after id prev.
+func entryLen(ns *core.NodeState, prev tree.NodeID) int {
+	n := 1 + uvarintLen(wire(int64(ns.Parent)+1))
+	if gap := int64(ns.ID) - int64(prev) - 1; gap != 0 {
+		n += uvarintLen(wire(gap))
+	}
+	if ns.Live {
+		n += uvarintLen(wire(ns.Cnt))
+	}
+	return n
+}
+
+// appendEntry appends entry ns, which follows id prev.
+func appendEntry(out []byte, ns *core.NodeState, prev tree.NodeID) []byte {
+	var flags byte
+	if ns.Live {
+		flags |= flagLive
+	}
+	if ns.InSnap {
+		flags |= flagInSnap
+	}
+	if ns.Cached {
+		flags |= flagCached
+	}
+	gap := wire(int64(ns.ID) - int64(prev) - 1)
+	if gap != 0 {
+		flags |= flagGap
+	}
+	out = append(out, flags)
+	if gap != 0 {
+		out = binary.AppendUvarint(out, gap)
+	}
+	out = binary.AppendUvarint(out, wire(int64(ns.Parent)+1))
+	if ns.Live {
+		out = binary.AppendUvarint(out, wire(ns.Cnt))
+	}
+	return out
 }
 
 // Verify checks the envelope and payload checksum without decoding any
@@ -285,7 +414,7 @@ func decode(p []byte, version uint16) (core.MutableConfig, *core.MutableState, e
 	// Restore memory is O(ids), so the id space is bounded before
 	// anything is allocated: it must fit the node-id range, and a
 	// version-1 payload lists every id in at least two bytes.
-	if ids < 1 || ids > math.MaxInt32 || (version == 1 && ids > int64(len(p))) {
+	if ids < 1 || ids > tree.MaxIDs || (version == 1 && ids > int64(len(p))) {
 		return cfg, nil, fmt.Errorf("%w: id space of %d ids inconsistent with the node-id range or payload size %d", ErrFormat, ids, len(p))
 	}
 	st.NextID = int(ids)

@@ -17,7 +17,20 @@
 // deterministically against a fresh instance.
 package tree
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
+
+// ErrIDSpaceFull reports an insertion into a Dyn whose stable id space
+// already holds MaxIDs ids: the next id would not fit a NodeID, and no
+// snapshot codec or restore accepts a larger space.
+var ErrIDSpaceFull = errors.New("tree: stable id space is full")
+
+// MaxIDs is the largest stable id space a Dyn grows to: ids are
+// non-negative NodeIDs (int32).
+const MaxIDs = math.MaxInt32
 
 // Dyn tracks a dynamic topology over an immutable snapshot. It is not
 // safe for concurrent use; in the engine each shard's Dyn is confined
@@ -35,6 +48,9 @@ type Dyn struct {
 	// overlay cannot represent, forcing the caller to rebuild now.
 	pending    int
 	structural bool
+	// maxIDs bounds the id space (MaxIDs; tests lower it, since a real
+	// run to 2^31 ids needs about 10 GB).
+	maxIDs int
 }
 
 // NewDyn returns a dynamic-topology handle whose initial snapshot is t
@@ -49,6 +65,7 @@ func NewDyn(t *Tree) *Dyn {
 		live:   make([]bool, n),
 		kids:   make([]int32, n),
 		nLive:  n,
+		maxIDs: MaxIDs,
 	}
 	for v := 0; v < n; v++ {
 		d.dense[v] = NodeID(v)
@@ -92,6 +109,7 @@ func RestoreDyn(snap *Tree, stable []NodeID, parent []NodeID, live []bool, pendi
 		live:    append([]bool(nil), live...),
 		kids:    make([]int32, ids),
 		pending: pending,
+		maxIDs:  MaxIDs,
 	}
 	for v := range d.dense {
 		d.dense[v] = None
@@ -171,11 +189,19 @@ func (d *Dyn) Parent(v NodeID) NodeID { return d.parent[v] }
 // LiveChildren returns the number of live children of stable node v.
 func (d *Dyn) LiveChildren(v NodeID) int { return int(d.kids[v]) }
 
+// Full reports whether the id space is exhausted: every further insert
+// fails with ErrIDSpaceFull.
+func (d *Dyn) Full() bool { return len(d.live) >= d.maxIDs }
+
 // Insert attaches a fresh leaf under live node parent and returns its
-// stable id (always NextID()).
+// stable id (always NextID()). It fails, changing nothing, when the
+// parent is not live or the id space is full.
 func (d *Dyn) Insert(parent NodeID) (NodeID, error) {
 	if !d.Live(parent) {
 		return None, fmt.Errorf("tree: insert under dead or unknown node %d", parent)
+	}
+	if d.Full() {
+		return None, fmt.Errorf("tree: insert under %d: %w (%d ids)", parent, ErrIDSpaceFull, len(d.live))
 	}
 	v := NodeID(len(d.live))
 	d.dense = append(d.dense, None)
@@ -202,7 +228,7 @@ func (d *Dyn) InsertBetween(parent NodeID, adopt []NodeID) (NodeID, error) {
 			return None, fmt.Errorf("tree: adopted node %d is not a live child of %d", c, parent)
 		}
 	}
-	v, err := d.Insert(parent)
+	v, err := d.Insert(parent) // checks the id space before any change
 	if err != nil {
 		return None, err
 	}
