@@ -1,12 +1,14 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,9 +21,20 @@ import (
 // file, so the repository keeps a perf trajectory across PRs. The file
 // holds two sections: "baseline" (written with -bench-baseline, kept
 // untouched by later runs) and "current" (rewritten on every run).
+//
+// One recording runs the whole table benchRounds times, one round
+// after another, and keeps each row's median round beside every
+// round's sample, so one slow round alone does not decide a row: on a
+// shared 2-CPU host a row's rounds within one recording spread by up
+// to 1.5× (max/min), more than the ±30% compare gate allows.
+
+// benchRounds is how many times -bench-json records the whole table.
+const benchRounds = 3
 
 type benchResult struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Iterations, NsPerOp, BytesPerOp and AllocsPerOp are the median
+	// round's (by ns/op) when Samples is set, else the one round's.
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
@@ -32,18 +45,30 @@ type benchResult struct {
 	// clients time-share one processor, so shards>1 ties shards=1 by
 	// design. -bench-cpus sweeps it.
 	GoMaxProcs int `json:"gomaxprocs"`
+	// Samples holds every round in recording order. Files recorded
+	// before rounds existed have none.
+	Samples []benchSample `json:"samples,omitempty"`
 }
 
-// toResult converts a testing.Benchmark result to a JSON row, stamping
-// the GOMAXPROCS setting the measurement ran under.
-func toResult(name string, r testing.BenchmarkResult) benchResult {
+// benchSample is one round's measurement of a row.
+type benchSample struct {
+	Iterations  int     `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+}
+
+// medianResult is the row for one benchmark's rounds: the median
+// sample (by ns/op; the lower middle of an even count) with every
+// sample beside it.
+func medianResult(name string, procs int, samples []benchSample) benchResult {
+	sorted := slices.Clone(samples)
+	slices.SortStableFunc(sorted, func(a, b benchSample) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	m := sorted[(len(sorted)-1)/2]
 	return benchResult{
-		Name:        name,
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		Name: name, Iterations: m.Iterations, NsPerOp: m.NsPerOp,
+		BytesPerOp: m.BytesPerOp, AllocsPerOp: m.AllocsPerOp,
+		GoMaxProcs: procs, Samples: samples,
 	}
 }
 
@@ -61,16 +86,17 @@ type benchFile struct {
 	Current    []benchResult `json:"current"`
 }
 
-// emitBenchJSON runs every experiments.Benches row and merges the
-// results into the JSON file at path. With asBaseline the results are
-// stored under "baseline" (preserving any existing "current");
-// otherwise under "current" (preserving any existing "baseline").
+// emitBenchJSON runs every experiments.Benches row benchRounds times
+// and merges the median rows into the JSON file at path. With
+// asBaseline the results are stored under "baseline" (preserving any
+// existing "current"); otherwise under "current" (preserving any
+// existing "baseline").
 //
 // cpus is the -bench-cpus sweep: the GOMAXPROCS settings to measure the
-// Goroutines rows under. The other rows run once, first, at the ambient
-// setting. nil or empty means ambient only; with more than one value
-// the swept rows carry a /cpus=N name suffix so the JSON keeps every
-// point.
+// Goroutines rows under. In every round the other rows run first, at
+// the ambient setting. nil or empty means ambient only; with more than
+// one value the swept rows carry a /cpus=N name suffix so the JSON
+// keeps every point.
 func emitBenchJSON(path string, asBaseline bool, cpus []int) error {
 	var file benchFile
 	raw, err := os.ReadFile(path)
@@ -91,29 +117,48 @@ func emitBenchJSON(path string, asBaseline bool, cpus []int) error {
 	if len(cpus) == 0 {
 		cpus = []int{ambient}
 	}
-	var results []benchResult
+	var names []string
+	samples := map[string][]benchSample{}
+	procs := map[string]int{}
+	round := 0
 	run := func(name string, f func(*testing.B)) {
-		fmt.Fprintf(os.Stderr, "bench %s...\n", name)
-		results = append(results, toResult(name, testing.Benchmark(f)))
-	}
-	for _, bn := range benches {
-		if !bn.Goroutines {
-			run(bn.Name, bn.Run)
+		fmt.Fprintf(os.Stderr, "bench %s (round %d/%d)...\n", name, round+1, benchRounds)
+		r := testing.Benchmark(f)
+		if round == 0 {
+			names = append(names, name)
 		}
+		samples[name] = append(samples[name], benchSample{
+			Iterations:  r.N,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			AllocsPerOp: r.AllocsPerOp(),
+		})
+		procs[name] = runtime.GOMAXPROCS(0)
 	}
-	for _, procs := range cpus {
-		runtime.GOMAXPROCS(procs)
-		suffix := ""
-		if len(cpus) > 1 {
-			suffix = fmt.Sprintf("/cpus=%d", procs)
-		}
+	for ; round < benchRounds; round++ {
 		for _, bn := range benches {
-			if bn.Goroutines {
-				run(bn.Name+suffix, bn.Run)
+			if !bn.Goroutines {
+				run(bn.Name, bn.Run)
 			}
 		}
+		for _, p := range cpus {
+			runtime.GOMAXPROCS(p)
+			suffix := ""
+			if len(cpus) > 1 {
+				suffix = fmt.Sprintf("/cpus=%d", p)
+			}
+			for _, bn := range benches {
+				if bn.Goroutines {
+					run(bn.Name+suffix, bn.Run)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(ambient)
 	}
-	runtime.GOMAXPROCS(ambient)
+	results := make([]benchResult, len(names))
+	for i, name := range names {
+		results[i] = medianResult(name, procs[name], samples[name])
+	}
 	file.GeneratedBy = "cmd/experiments -bench-json"
 	file.GoVersion = runtime.Version()
 	file.GOOS = runtime.GOOS
@@ -135,7 +180,9 @@ func emitBenchJSON(path string, asBaseline bool, cpus []int) error {
 // compareBenchJSON writes to w a per-benchmark before/after delta table
 // between the "current" sections of two bench JSON files (falling back
 // to "baseline" when a file has no "current" section), so perf PRs can
-// quote speedups mechanically:
+// quote speedups mechanically. It compares each row's ns/op, which is
+// the median of the recording's rounds (a file without samples holds
+// one round, and compares as that round):
 //
 //	experiments -bench-compare old.json new.json
 //

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,5 +77,46 @@ func TestCompareBenchJSON(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBenchMedianRound pins how a recording's rounds become its row:
+// the median round by ns/op, with that round's B/op and allocs, beside
+// every round in recording order, and a compare gates on that median,
+// so one slow round alone does not flag a row.
+func TestBenchMedianRound(t *testing.T) {
+	samples := []benchSample{
+		{Iterations: 10, NsPerOp: 300, BytesPerOp: 3, AllocsPerOp: 30},
+		{Iterations: 20, NsPerOp: 100, BytesPerOp: 1, AllocsPerOp: 10},
+		{Iterations: 15, NsPerOp: 200, BytesPerOp: 2, AllocsPerOp: 20},
+	}
+	r := medianResult("A/n=1", 2, samples)
+	if r.NsPerOp != 200 || r.Iterations != 15 || r.BytesPerOp != 2 || r.AllocsPerOp != 20 || r.GoMaxProcs != 2 {
+		t.Fatalf("median row %+v, want the 200 ns/op round", r)
+	}
+	if len(r.Samples) != 3 || r.Samples[0].NsPerOp != 300 || r.Samples[2].NsPerOp != 200 {
+		t.Fatalf("samples %+v, want every round in recording order", r.Samples)
+	}
+
+	dir := t.TempDir()
+	write := func(name string, row benchResult) string {
+		raw, err := json.Marshal(benchFile{Current: []benchResult{row}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	oldPath := write("old.json", benchResult{Name: "A/n=1", NsPerOp: 100})
+	oneSlow := write("slow.json", medianResult("A/n=1", 2, []benchSample{{NsPerOp: 100}, {NsPerOp: 180}, {NsPerOp: 110}}))
+	if err := compareBenchJSON(io.Discard, oldPath, oneSlow, 30); err != nil {
+		t.Fatalf("one slow round failed the gate: %v", err)
+	}
+	twoSlow := write("slower.json", medianResult("A/n=1", 2, []benchSample{{NsPerOp: 100}, {NsPerOp: 180}, {NsPerOp: 140}}))
+	if err := compareBenchJSON(io.Discard, oldPath, twoSlow, 30); err == nil {
+		t.Fatal("a median 40% slower passed the gate")
 	}
 }

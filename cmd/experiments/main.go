@@ -31,7 +31,7 @@ import (
 func main() {
 	runFlag := flag.String("run", "all", "comma-separated experiment ids (e1..e8) or 'all'")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	benchJSON := flag.String("bench-json", "", "run the benchmark table (experiments.Benches) and merge the results into this JSON file, then exit")
+	benchJSON := flag.String("bench-json", "", "run the benchmark table (experiments.Benches) three rounds over and merge each row's median round, with every round's sample, into this JSON file, then exit")
 	benchBaseline := flag.Bool("bench-baseline", false, "with -bench-json, store results under the persistent 'baseline' section instead of 'current'")
 	benchCompare := flag.Bool("bench-compare", false, "compare two bench JSON files (args: old.json new.json) and print a per-benchmark delta table, then exit")
 	benchTolerance := flag.Float64("bench-tolerance", 30, "with -bench-compare, exit non-zero only when a benchmark's ns/op regressed by more than this percentage (matches the ±30% container drift; 0 disables the gate; values in (0,1] are read as fractions, so 0.3 == 30)")

@@ -17,8 +17,10 @@
 // every tenant (treecached.wal in -state-dir) and its ack withheld
 // until a group-commit fsync (window: -fsync-interval) covers it, so
 // even a hard crash loses no acknowledged batch — startup replays the
-// WAL tail on top of the checkpoint, /readyz staying 503 until the
-// replay completes. One fsync covers every tenant's frames in flight.
+// WAL tail on top of the checkpoint through the engine's shard
+// workers, under supervision like live traffic, /readyz staying 503
+// until the replay completes. One fsync covers every tenant's frames
+// in flight.
 // Checkpoints hold the engine's verified captures, so a corrupt one is
 // refused before it can replace the last good checkpoint.
 // -checkpoint-interval bounds the replay by periodically checkpointing

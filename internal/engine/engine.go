@@ -19,7 +19,11 @@
 //     non-blocking variant (ErrOverloaded instead of backpressure
 //     blocking) and SubmitCtx bounds the wait by a context. Every
 //     batch and mutation message enters a queue through one function,
-//     enqueue.
+//     enqueue, and changes the algorithm through one function, apply,
+//     whether it is served, retried under supervision or replayed from
+//     the journal. A daemon recovering from its write-ahead log submits
+//     the log's records like live traffic, so replay follows the same
+//     rule too.
 //   - The algorithm owns its counters: requests served (Round), peak
 //     occupancy (MaxCacheLen) and the cost ledger. The worker adds its
 //     own timing and supervision counters and publishes both as one
@@ -185,8 +189,13 @@ type Config struct {
 // first (published atomically as a whole, so fields are never mutually
 // torn). After Drain the snapshot covers all drained work exactly.
 // Rounds, the ledger fields and MaxCache are the algorithm's own, so
-// they include any state the instance was restored with; the rest
-// count from New.
+// they include any state the instance was restored with; the rest are
+// the worker's and count every message submitted since New. A daemon
+// that replays its write-ahead log into a new engine (treecached)
+// therefore reports worker counters — Batches, BusyNs, MaxBatch,
+// TopoApplied, TopoErrs, the supervision counters and Latency — that
+// include the replayed records, a replayed message dropped again
+// included.
 type ShardStats struct {
 	Shard     int
 	Algorithm string
@@ -717,37 +726,39 @@ func (e *Engine) worker(s *shard) {
 		s.sup.checkpoint(s, &w)
 	}
 	for msg := range s.in {
-		switch {
-		case msg.flush != nil:
+		if msg.flush != nil {
 			msg.flush.acks <- e.consistencyPoint(s, &w, msg.flush.capture)
 			continue
-		case msg.muts != nil:
-			e.serveMuts(s, &w, msg)
-		default:
-			e.serveBatch(s, &w, msg)
 		}
+		e.serve(s, &w, msg)
 		s.publish(&w)
 	}
 }
 
-// serveBatch serves one batch, under supervision when the shard has
-// it, timing it and feeding the ratio monitor when the batch was
-// actually served (a supervised batch can be dropped after exhausting
-// panic retries).
-func (e *Engine) serveBatch(s *shard, w *counters, msg message) {
+// serve applies one batch or topology message, under supervision when
+// the shard has it, and commits its counters once it was applied (a
+// supervised message can be dropped after exhausting panic retries). A
+// batch is timed and feeds the ratio monitor.
+func (e *Engine) serve(s *shard, w *counters, msg message) {
 	var ratioBase int64
 	if s.ratio != nil {
 		ratioBase = s.algo.Ledger().Total()
 	}
 	start := time.Now()
+	var ok, errs int64
 	served := true
 	if s.sup == nil {
-		s.algo.ServeBatch(msg.batch)
+		ok, errs = s.apply(msg)
 	} else {
-		served = e.supervised(s, w, msg)
+		ok, errs, served = e.supervised(s, w, msg)
 	}
 	elapsed := time.Since(start).Nanoseconds()
-	if served {
+	switch {
+	case !served:
+	case msg.muts != nil:
+		w.topoOK += ok
+		w.topoErrs += errs
+	default:
 		n := int64(len(msg.batch))
 		w.batches++
 		w.busyNs += elapsed
@@ -766,35 +777,24 @@ func (e *Engine) serveBatch(s *shard, w *counters, msg message) {
 	}
 }
 
-// ApplyMutations applies a topology control message to t one mutation
-// at a time and returns how many applied and how many were dropped: the
-// first rejected mutation drops the rest of its own message. It is the
-// one mutation-application rule, shared by shard workers, journal
-// replay (which discards the counts: they were committed when the
-// message was first served) and a daemon's write-ahead-log replay, so a
-// replayed stream reproduces exactly what the live engine did.
-func ApplyMutations(t TopologyServer, muts []trace.Mutation) (applied, dropped int64) {
-	for i := range muts {
-		if err := t.ApplyTopology(muts[i : i+1]); err != nil {
-			return applied, int64(len(muts) - i)
+// apply is the one rule by which a message changes a shard's algorithm,
+// shared by unsupervised serving, supervised attempts and journal
+// replay: a batch is one ServeBatch call; a topology message is applied
+// one mutation at a time, and the first rejected mutation drops the
+// rest of its message. It returns how many mutations applied and how
+// many were dropped.
+func (s *shard) apply(msg message) (applied, dropped int64) {
+	if msg.muts == nil {
+		s.algo.ServeBatch(msg.batch)
+		return 0, 0
+	}
+	for i := range msg.muts {
+		if err := s.topo.ApplyTopology(msg.muts[i : i+1]); err != nil {
+			return applied, int64(len(msg.muts) - i)
 		}
 		applied++
 	}
 	return applied, 0
-}
-
-// serveMuts applies a topology control message, under supervision when
-// the shard has it. Counter deltas are committed only after the
-// message succeeds, so a mid-message panic followed by recovery and
-// retry never double-counts.
-func (e *Engine) serveMuts(s *shard, w *counters, msg message) {
-	if s.sup == nil {
-		ok, errs := ApplyMutations(s.topo, msg.muts)
-		w.topoOK += ok
-		w.topoErrs += errs
-		return
-	}
-	e.supervised(s, w, msg)
 }
 
 // maxRetries bounds how many times the supervisor re-serves a message
@@ -804,23 +804,21 @@ func (e *Engine) serveMuts(s *shard, w *counters, msg message) {
 // shard in a restore/panic loop.
 const maxRetries = 3
 
-// supervised serves one message with panic recovery: on panic the
+// supervised applies one message with panic recovery: on panic the
 // algorithm is restored from the last checkpoint, the journal is
 // replayed to reproduce the pre-fault state, and the message retried.
-// Counters are committed exactly once, after the attempt that
-// succeeds. Returns false when the message was dropped.
-func (e *Engine) supervised(s *shard, w *counters, msg message) bool {
+// It returns the counter deltas of the attempt that succeeded, for the
+// caller to commit once, and served false when the message was dropped.
+func (e *Engine) supervised(s *shard, w *counters, msg message) (ok, errs int64, served bool) {
 	sup := s.sup
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		ok, errs, panicked := s.attempt(msg)
 		if !panicked {
-			w.topoOK += ok
-			w.topoErrs += errs
 			sup.journal = append(sup.journal, msg)
 			if len(sup.journal) >= sup.every && sup.checkpoint(s, w) == nil {
 				e.recycleJournal(sup)
 			}
-			return true
+			return ok, errs, true
 		}
 		w.restarts++
 		sup.recover(s)
@@ -829,12 +827,11 @@ func (e *Engine) supervised(s *shard, w *counters, msg message) bool {
 	if msg.box != nil {
 		e.putBatchBuf(msg.box, msg.batch)
 	}
-	return false
+	return 0, 0, false
 }
 
-// attempt serves one message, converting a panic anywhere below the
+// attempt applies one message, converting a panic anywhere below the
 // algorithm into a reported recovery instead of a crashed process.
-// Counter deltas are returned, not committed.
 func (s *shard) attempt(msg message) (ok, errs int64, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -847,30 +844,23 @@ func (s *shard) attempt(msg message) (ok, errs int64, panicked bool) {
 			ok, errs, panicked = 0, 0, true
 		}
 	}()
-	if msg.muts != nil {
-		ok, errs = ApplyMutations(s.topo, msg.muts)
-		return ok, errs, false
-	}
-	s.algo.ServeBatch(msg.batch)
-	return 0, 0, false
+	ok, errs = s.apply(msg)
+	return ok, errs, false
 }
 
 // recover restores the algorithm from the last checkpoint and replays
 // the journal, reproducing the exact pre-fault state. The algorithm's
 // counters are re-derived by the replay itself and worker counters are
-// untouched, so recovered work is never double-counted. A failure inside recovery
-// (Restore error, or a panic while replaying) is not survivable —
-// supervision's own invariants are broken — and propagates.
+// untouched, so recovered work is never double-counted. A failure
+// inside recovery (Restore error, or a panic while replaying) is not
+// survivable — supervision's own invariants are broken — and
+// propagates.
 func (sup *supervisor) recover(s *shard) {
 	if err := s.ck.Restore(sup.ckpt); err != nil {
 		panic(fmt.Sprintf("engine: shard %d: restore from checkpoint failed after panic: %v", s.id, err))
 	}
 	for _, m := range sup.journal {
-		if m.muts != nil {
-			ApplyMutations(s.topo, m.muts)
-			continue
-		}
-		s.algo.ServeBatch(m.batch)
+		s.apply(m)
 	}
 }
 

@@ -32,9 +32,13 @@
 //     through the sequence table, routing each record to the tenant it
 //     names: duplicates are dropped, costs are committed exactly once,
 //     and a torn tail record truncates the log instead of failing
-//     startup. Checkpoints supersede the log prefix and truncate it,
-//     bounding recovery time. Without WALDir the ack remains an
-//     in-memory promise and only checkpoints survive a hard crash.
+//     startup. Replay submits each record to the engine, so the shard
+//     workers apply it by the rule that served it live — supervision,
+//     the drop rule for poison messages and Wrap included — and the
+//     tenants replay in parallel. Checkpoints supersede the log prefix
+//     and truncate it, bounding recovery time. Without WALDir the ack
+//     remains an in-memory promise and only checkpoints survive a hard
+//     crash.
 //   - Malformed or stalled clients cannot wedge a handler: every
 //     connection read and write carries a deadline, and frames beyond
 //     the payload limit are rejected before allocation.
@@ -138,9 +142,11 @@ type Config struct {
 	// wire.DefaultMaxPayload); larger length prefixes are rejected
 	// before any allocation and the connection is closed.
 	MaxFrame int
-	// Wrap, when non-nil, wraps each shard's algorithm before the
-	// engine sees it — the fault-injection hook the chaos e2e suite
-	// uses. The wrapper must preserve Algo semantics.
+	// Wrap, when non-nil, wraps each shard's algorithm before recovery
+	// restores it and the engine sees it — the fault-injection hook the
+	// chaos e2e suite uses — so checkpoint restore and WAL replay go
+	// through the wrapper too. The wrapper must preserve Algo
+	// semantics.
 	Wrap func(shard int, algo Algo) Algo
 }
 
@@ -165,7 +171,6 @@ const (
 type Server struct {
 	cfg     Config
 	eng     atomic.Pointer[engine.Engine]
-	algos   []Algo
 	tenants []*tenantState
 	quo     *quotas
 
@@ -173,7 +178,7 @@ type Server struct {
 	// shared by every tenant. legacy lists the per-shard logs of the
 	// old layout that recovery replayed; the next committed checkpoint
 	// supersedes and deletes them. replayed counts the records recovery
-	// applied per tenant.
+	// submitted per tenant.
 	wal      *wal.Log
 	legacy   []string
 	replayed []int64
@@ -236,7 +241,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:      cfg,
-		algos:    make([]Algo, len(cfg.Trees)),
 		tenants:  make([]*tenantState, len(cfg.Trees)),
 		replayed: make([]int64, len(cfg.Trees)),
 		quo:      newQuotas(cfg.Quota, len(cfg.Trees)),
@@ -255,7 +259,9 @@ func (s *Server) engine() *engine.Engine { return s.eng.Load() }
 // Start brings the daemon up: admin plane first (so /readyz reports
 // 503 while recovering), then checkpoint restore and WAL replay, then
 // the wire listener; readiness flips to 200 only once recovery is
-// complete and the daemon is accepting.
+// complete and the daemon is accepting. A failed Start releases what
+// it built — the admin plane, the engine's shard workers and the log —
+// and leaves a stopped Server, on which Shutdown and Kill do nothing.
 func (s *Server) Start() error {
 	if s.cfg.AdminAddr != "" {
 		adminLn, err := net.Listen("tcp", s.cfg.AdminAddr)
@@ -271,20 +277,26 @@ func (s *Server) Start() error {
 			_ = s.admin.Serve(adminLn)
 		}()
 	}
-	if err := s.restore(); err != nil {
-		if s.admin != nil {
-			s.admin.Close()
-		}
-		return err
+	err := s.restore()
+	if err == nil {
+		s.ln, err = net.Listen("tcp", s.cfg.Addr)
 	}
-	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		if s.admin != nil {
 			s.admin.Close()
+			s.wg.Wait()
 		}
+		if eng := s.engine(); eng != nil {
+			eng.Close()
+		}
+		if s.wal != nil {
+			s.wal.Close()
+			s.wal = nil
+		}
+		// Nothing is left to stop: Shutdown and Kill become no-ops.
+		s.stopOnce.Do(func() { s.closed.Store(true) })
 		return err
 	}
-	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
 	if s.cfg.StateDir != "" && s.cfg.CheckpointInterval > 0 {
@@ -296,15 +308,18 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// restore rebuilds every shard from the last durable state: the
-// checkpoint file (shard snapshots + sequence table at one consistency
-// point), then the write-ahead log replayed through the sequence
-// table. A snapshot whose α or capacity differs from the
-// configuration is refused. The replay runs on the raw instances
-// before the engine exists: engine workers capture a supervision
-// snapshot at construction, which must already include the replayed
-// state, and the engine publishes the recovered counters as each
-// shard's first stats.
+// restore rebuilds every shard from the last durable state by the
+// rules that built it live. Each shard's checkpoint blob (shard
+// snapshots + sequence table at one consistency point) is restored
+// through the shard's own Checkpointer.Restore, the call supervision
+// makes; a snapshot whose α or capacity differs from the configuration
+// is refused. The write-ahead log is then read and, once the engine
+// exists, every record beyond the sequence table is submitted to it,
+// so replay runs on the shard workers under supervision and Wrap
+// exactly as live serving did: a message the live engine dropped is
+// dropped again, and tenants replay in parallel. One Drain, only when
+// a record was submitted, makes the recovered stats exact before Start
+// returns.
 func (s *Server) restore() error {
 	shards := len(s.cfg.Trees)
 	blobs := make([][]byte, shards)
@@ -318,57 +333,60 @@ func (s *Server) restore() error {
 			return fmt.Errorf("server: state dir: %w", err)
 		}
 	}
-	mtcs := make([]*core.MutableTC, shards)
+	algos := make([]Algo, shards)
 	for i, t := range s.cfg.Trees {
-		mtcs[i] = core.NewMutable(t, core.MutableConfig{Config: s.cfg.algoConfig()})
-		if blobs[i] == nil {
-			continue
+		algos[i] = snapshot.Checkpointed{MutableTC: core.NewMutable(t, core.MutableConfig{Config: s.cfg.algoConfig()})}
+		if s.cfg.Wrap != nil {
+			algos[i] = s.cfg.Wrap(i, algos[i])
 		}
-		if err := snapshot.RestoreInto(mtcs[i], blobs[i]); err != nil {
-			return fmt.Errorf("server: shard %d: restore: %w", i, err)
+		if blobs[i] != nil {
+			if err := algos[i].Restore(blobs[i]); err != nil {
+				return fmt.Errorf("server: shard %d: restore: %w", i, err)
+			}
 		}
 	}
+	var recs [][]byte
 	if s.cfg.WALDir != "" {
-		if err := s.openWAL(mtcs, seqs); err != nil {
+		var err error
+		if recs, err = s.openWAL(); err != nil {
 			return err
 		}
 	}
-	for i, mtc := range mtcs {
-		var algo Algo = snapshot.Checkpointed{MutableTC: mtc}
-		if s.cfg.Wrap != nil {
-			algo = s.cfg.Wrap(i, algo)
-		}
-		s.algos[i] = algo
-		s.tenants[i] = &tenantState{lastSeq: seqs[i]}
-	}
 	eng := engine.New(engine.Config{
 		Shards:          shards,
-		NewShard:        func(i int) engine.Algorithm { return s.algos[i] },
+		NewShard:        func(i int) engine.Algorithm { return algos[i] },
 		QueueLen:        s.cfg.QueueLen,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 	})
+	if err := replayWAL(eng, recs, seqs, s.replayed); err != nil {
+		eng.Close()
+		return fmt.Errorf("server: wal replay: %w", err)
+	}
+	for i := range s.tenants {
+		s.tenants[i] = &tenantState{lastSeq: seqs[i]}
+	}
 	s.eng.Store(eng)
 	return nil
 }
 
-// openWAL opens the daemon's log and replays it onto the restored
-// shards, advancing seqs. Logs of the per-shard layout (shard-*.wal)
-// are replayed first, through the same pass: their records name their
-// tenant too, and they predate everything in the daemon's log.
-func (s *Server) openWAL(mtcs []*core.MutableTC, seqs []uint64) error {
+// openWAL opens the daemon's log and returns the records to replay.
+// Logs of the per-shard layout (shard-*.wal) come first: their records
+// name their tenant too, and they predate everything in the daemon's
+// log.
+func (s *Server) openWAL() ([][]byte, error) {
 	dir := s.cfg.WALDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("server: wal dir: %w", err)
+		return nil, fmt.Errorf("server: wal dir: %w", err)
 	}
 	legacy, err := filepath.Glob(filepath.Join(dir, legacyWALGlob))
 	if err != nil {
-		return fmt.Errorf("server: wal: %w", err)
+		return nil, fmt.Errorf("server: wal: %w", err)
 	}
 	var recs [][]byte
 	for _, path := range legacy {
 		r, err := wal.Read(path, s.cfg.MaxFrame+1)
 		if err != nil {
-			return fmt.Errorf("server: wal: %w", err)
+			return nil, fmt.Errorf("server: wal: %w", err)
 		}
 		recs = append(recs, r...)
 	}
@@ -377,26 +395,24 @@ func (s *Server) openWAL(mtcs []*core.MutableTC, seqs []uint64) error {
 		MaxRecord:    s.cfg.MaxFrame + 1,
 	})
 	if err != nil {
-		return fmt.Errorf("server: wal: %w", err)
-	}
-	if err := replayWAL(mtcs, append(recs, tail...), seqs, s.replayed); err != nil {
-		l.Close()
-		return fmt.Errorf("server: wal replay: %w", err)
+		return nil, fmt.Errorf("server: wal: %w", err)
 	}
 	s.wal, s.legacy = l, legacy
-	return nil
+	return append(recs, tail...), nil
 }
 
-// replayWAL applies recovered log records on top of the restored
-// shards, routing each to the tenant its wire payload names. Records
-// at or below the tenant's lastSeq were already covered by the
-// checkpoint and are skipped; the remainder must continue the tenant's
-// sequence gaplessly (admission appends a tenant's records in sequence
-// order under its lock, and recovery only ever truncates the log's
-// tail). Topology messages go through engine.ApplyMutations, the rule
-// the live engine applied them with. lastSeq advances in place;
-// applied counts the records applied per tenant.
-func replayWAL(mtcs []*core.MutableTC, recs [][]byte, lastSeq []uint64, applied []int64) error {
+// replayWAL submits recovered log records to the engine, routing each
+// to the shard of the tenant its wire payload names. Records at or
+// below the tenant's lastSeq were already covered by the checkpoint
+// and are skipped; the remainder must continue the tenant's sequence
+// gaplessly (admission appends a tenant's records in sequence order
+// under its lock, and recovery only ever truncates the log's tail).
+// lastSeq advances in place; replayed counts the records submitted per
+// tenant, whether or not the engine then drops one again. When any
+// record was submitted, a successful replay drains the engine before
+// it returns, so the recovered stats are exact.
+func replayWAL(eng *engine.Engine, recs [][]byte, lastSeq []uint64, replayed []int64) error {
+	submitted := false
 	for n, rec := range recs {
 		if len(rec) < 1 {
 			return fmt.Errorf("record %d: empty", n)
@@ -421,8 +437,8 @@ func replayWAL(mtcs []*core.MutableTC, recs [][]byte, lastSeq []uint64, applied 
 		default:
 			return fmt.Errorf("record %d: unknown kind %d", n, kind)
 		}
-		if tenant < 0 || tenant >= len(mtcs) {
-			return fmt.Errorf("record %d: tenant %d out of range [0,%d)", n, tenant, len(mtcs))
+		if tenant < 0 || tenant >= len(lastSeq) {
+			return fmt.Errorf("record %d: tenant %d out of range [0,%d)", n, tenant, len(lastSeq))
 		}
 		if seq <= lastSeq[tenant] {
 			continue // superseded by the checkpoint
@@ -430,14 +446,20 @@ func replayWAL(mtcs []*core.MutableTC, recs [][]byte, lastSeq []uint64, applied 
 		if seq != lastSeq[tenant]+1 {
 			return fmt.Errorf("record %d: tenant %d sequence gap: got %d, expected %d", n, tenant, seq, lastSeq[tenant]+1)
 		}
-		switch kind {
-		case walRecServe:
-			mtcs[tenant].ServeBatch(serve.Batch)
-		case walRecTopo:
-			engine.ApplyMutations(mtcs[tenant], topo.Muts)
+		if kind == walRecServe {
+			err = eng.Submit(tenant, serve.Batch)
+		} else {
+			err = eng.ApplyTopology(tenant, topo.Muts)
 		}
+		if err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
+		}
+		submitted = true
 		lastSeq[tenant] = seq
-		applied[tenant]++
+		replayed[tenant]++
+	}
+	if submitted {
+		eng.Drain()
 	}
 	return nil
 }
@@ -464,10 +486,11 @@ func (s *Server) Engine() *engine.Engine { return s.engine() }
 
 // Algorithm returns shard i's instance for inspection. Only touch it
 // while the daemon is quiescent (after Shutdown).
-func (s *Server) Algorithm(i int) Algo { return s.algos[i] }
+func (s *Server) Algorithm(i int) Algo { return s.engine().Algorithm(i).(Algo) }
 
-// Replayed returns how many WAL records recovery applied to tenant i
-// (beyond the checkpoint) during Start.
+// Replayed returns how many WAL records recovery submitted to tenant
+// i's shard (beyond the checkpoint) during Start, counting one that
+// the engine dropped again.
 func (s *Server) Replayed(i int) int64 { return s.replayed[i] }
 
 // adminMux is the server-owned admin plane. It differs from the

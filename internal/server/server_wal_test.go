@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +18,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/snapshot"
@@ -95,12 +96,13 @@ func walFleetFrames(n, batchLen int) [][]walFrame {
 }
 
 // frameOracle applies frames sequentially to a fresh instance over tr,
-// topology frames with the engine's mutation rule.
+// topology frames with the algorithm's own ApplyTopology, which stops
+// at the first rejected mutation just as the engine's rule does.
 func frameOracle(tr *tree.Tree, frames []walFrame) *core.MutableTC {
 	ref := core.NewMutable(tr, core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 16}})
 	for _, f := range frames {
 		if f.muts != nil {
-			engine.ApplyMutations(ref, f.muts)
+			ref.ApplyTopology(f.muts)
 			continue
 		}
 		ref.ServeBatch(f.batch)
@@ -477,7 +479,7 @@ func adminGet(t *testing.T, srv *server.Server, path string) (int, string) {
 
 // TestServerWALTopologyRecovery: topology mutations ride the WAL too —
 // a killed daemon recovers its mutated tree, and replay applies a
-// topology frame with the live engine's rule (engine.ApplyMutations):
+// topology frame through the engine, by the rule the live daemon used:
 // the first rejected mutation drops the rest of its frame.
 func TestServerWALTopologyRecovery(t *testing.T) {
 	addr := reserveAddr(t)
@@ -874,5 +876,205 @@ func TestServerCheckpointErrorsCounted(t *testing.T) {
 	defer shutdownServer(t, srv2)
 	if got := srv2.Replayed(0); got != nBatches {
 		t.Fatalf("replayed %d records, want %d: a failed checkpoint truncated the log", got, nBatches)
+	}
+}
+
+// poisonAlgo panics on every batch that requests node poison: a
+// deterministic fault, which supervision retries and then drops.
+type poisonAlgo struct {
+	server.Algo
+	poison tree.NodeID
+}
+
+func (p poisonAlgo) ServeBatch(batch trace.Trace) (int64, int64) {
+	for _, r := range batch {
+		if r.Node == p.poison {
+			panic(fmt.Sprintf("poison request for node %d", p.poison))
+		}
+	}
+	return p.Algo.ServeBatch(batch)
+}
+
+// TestServerWALReplayPoison: recovery applies the log by the rule that
+// served it live. Batch 6 of 12 is the only one to request the
+// poisoned node, which a Wrap shim panics on. The live daemon
+// acknowledges the batch (the ack promises durability, not service),
+// and supervision retries it three times and drops it. After a hard
+// kill the restarted daemon replays the log through the engine and the
+// same shim, so it drops the batch again: the recovered sequence
+// frontier, rounds and ledger equal the pre-kill ones, and Dropped
+// reads 1 again. A replay beside the engine would apply the batch the
+// live daemon never applied.
+func TestServerWALReplayPoison(t *testing.T) {
+	addr := reserveAddr(t)
+	dir := t.TempDir()
+	const nBatches, batchLen, poisoned = 12, 8, 5
+	batches := walTestBatches(nBatches, batchLen)
+	// The poisoned node is the highest one no batch requests; batch 6
+	// requests it once, after its own requests.
+	requested := make([]bool, walTestTree().Len())
+	for _, b := range batches {
+		for _, r := range b {
+			requested[r.Node] = true
+		}
+	}
+	poison := tree.None
+	for v := len(requested) - 1; v >= 0 && poison == tree.None; v-- {
+		if !requested[v] {
+			poison = tree.NodeID(v)
+		}
+	}
+	if poison == tree.None {
+		t.Fatal("every node is requested")
+	}
+	batches[poisoned] = append(append(trace.Trace(nil), batches[poisoned]...), trace.Pos(poison))
+	cfg := walServerConfig(addr, dir)
+	cfg.Wrap = func(_ int, algo server.Algo) server.Algo { return poisonAlgo{Algo: algo, poison: poison} }
+
+	srv := startServer(t, cfg)
+	cl := client.New(client.Config{Addr: addr, Seed: 101})
+	for i, b := range batches {
+		if err := cl.Serve(0, b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	srv.Engine().Drain() // acks promise durability, not service
+	if st := srv.Engine().Stats(); st.Restarts != 3 || st.Dropped != 1 {
+		t.Fatalf("live daemon: %d restarts, %d dropped; want 3 and 1", st.Restarts, st.Dropped)
+	}
+	preKill, err := cl.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	srv.Kill()
+
+	srv2 := startServer(t, cfg)
+	defer shutdownServer(t, srv2)
+	if got := srv2.Replayed(0); got != nBatches {
+		t.Fatalf("replayed %d records, want %d (a dropped batch is still replayed)", got, nBatches)
+	}
+	cl2 := client.New(client.Config{Addr: addr, Seed: 102})
+	defer cl2.Close()
+	reply, err := cl2.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.LastSeq != preKill.LastSeq || reply.Rounds != preKill.Rounds || reply.Serve != preKill.Serve ||
+		reply.Move != preKill.Move || reply.Fetched != preKill.Fetched || reply.Evicted != preKill.Evicted {
+		t.Fatalf("recovered %+v != pre-kill %+v", reply, preKill)
+	}
+	if reply.Dropped != 1 || reply.Restarts != 3 {
+		t.Fatalf("recovery: %d restarts, %d dropped; want 3 and 1", reply.Restarts, reply.Dropped)
+	}
+	// The pre-kill state is the sequential replay without the poisoned
+	// batch.
+	ref := walOracle(append(append([]trace.Trace(nil), batches[:poisoned]...), batches[poisoned+1:]...), nBatches-1)
+	checkRecovered(t, cl2, 0, nBatches, ref)
+}
+
+// TestServerWALReplayTransientFault: a transient fault that fires
+// while the restarted daemon replays its log — a panic mid-batch,
+// armed through Wrap — is recovered by supervision like a live one,
+// and the recovered ledger equals the sequential oracle's.
+func TestServerWALReplayTransientFault(t *testing.T) {
+	addr := reserveAddr(t)
+	dir := t.TempDir()
+	const nBatches, batchLen = 20, 16
+	batches := walTestBatches(nBatches, batchLen)
+	cfg := walServerConfig(addr, dir)
+
+	srv := startServer(t, cfg)
+	cl := client.New(client.Config{Addr: addr, Seed: 111})
+	for i, b := range batches {
+		if err := cl.Serve(0, b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	cl.Close()
+	srv.Kill()
+
+	// The fault fires at request 150: mid-batch in the tenth record,
+	// before the shard's first periodic capture (the cadence is the
+	// QueueLen, 16 messages), so recovery restores the capture taken at
+	// construction and replays a journal of nine records.
+	inj := faultinject.NewInjector()
+	inj.Arm(faultinject.ServeRequest, 150)
+	cfg.Wrap = func(_ int, algo server.Algo) server.Algo { return faultinject.Wrap(algo, inj) }
+	srv2 := startServer(t, cfg)
+	defer shutdownServer(t, srv2)
+	if inj.Fired(faultinject.ServeRequest) != 1 {
+		t.Fatalf("fault fired %d times during replay, want 1", inj.Fired(faultinject.ServeRequest))
+	}
+	if got := srv2.Replayed(0); got != nBatches {
+		t.Fatalf("replayed %d records, want %d", got, nBatches)
+	}
+	cl2 := client.New(client.Config{Addr: addr, Seed: 112})
+	defer cl2.Close()
+	reply, err := cl2.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Restarts != 1 || reply.Dropped != 0 {
+		t.Fatalf("replay: %d restarts, %d dropped; want 1 and 0", reply.Restarts, reply.Dropped)
+	}
+	checkRecovered(t, cl2, 0, nBatches, walOracle(batches, nBatches))
+}
+
+// TestServerStartFailureReleases: a Start that fails after recovery
+// began — here on a taken wire address, or on a log whose tenant
+// skips a sequence number — stops the shard workers and closes the
+// log with its syncer, so the goroutine count returns to its value
+// before New, and leaves a stopped Server: Shutdown and Kill on it
+// return without error or panic.
+func TestServerStartFailureReleases(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, dir string) (addr string)
+		want  string
+	}{
+		{"address taken", func(t *testing.T, dir string) string {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			return ln.Addr().String()
+		}, "address already in use"},
+		{"sequence gap", func(t *testing.T, dir string) string {
+			var img []byte
+			for _, seq := range []uint64{1, 3} {
+				rec := append([]byte{1}, wire.Serve{Tenant: 0, Seq: seq, Batch: trace.Trace{trace.Pos(1)}}.Encode()...)
+				img = wal.AppendRecord(img, rec)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "treecached.wal"), img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return reserveAddr(t)
+		}, "sequence gap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			addr := tc.setup(t, dir)
+			before := runtime.NumGoroutine()
+			srv, err := server.New(walServerConfig(addr, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Start(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Start = %v, want an error containing %q", err, tc.want)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > before {
+				t.Fatalf("%d goroutines after the failed Start, %d before New", n, before)
+			}
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatalf("Shutdown after the failed Start: %v", err)
+			}
+			srv.Kill()
+		})
 	}
 }

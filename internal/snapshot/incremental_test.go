@@ -12,7 +12,6 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/tree"
@@ -267,9 +266,9 @@ func capIDSpace(d *tree.Dyn, n int) {
 
 // TestInsertPastIDSpaceChangesNothing pins that an insert into a full
 // id space fails before any change: Insert (also under an overlay
-// leaf, which would rebuild first), InsertBetween, and the engine's
-// mutation path, which counts it as a dropped mutation. The state and
-// the capture stay as they were.
+// leaf, which would rebuild first), InsertBetween, and a topology
+// message, which stops at the rejected insert as the engine's mutation
+// rule does. The state and the capture stay as they were.
 func TestInsertPastIDSpaceChangesNothing(t *testing.T) {
 	tr := tree.CompleteKary(15, 2)
 	m := core.NewMutable(tr, core.MutableConfig{Config: core.Config{Alpha: 2, Capacity: 6}, RebuildFrac: 1})
@@ -294,8 +293,10 @@ func TestInsertPastIDSpaceChangesNothing(t *testing.T) {
 	if _, err := m.InsertBetween(1, []tree.NodeID{3}); !errors.Is(err, tree.ErrIDSpaceFull) {
 		t.Fatalf("InsertBetween into a full id space: %v, want ErrIDSpaceFull", err)
 	}
-	if applied, dropped := engine.ApplyMutations(m, []trace.Mutation{trace.InsertMut(tree.None, 2), trace.DeleteMut(leaf)}); applied != 0 || dropped != 2 {
-		t.Fatalf("ApplyMutations: applied %d, dropped %d; want 0 and 2", applied, dropped)
+	// A topology message stops at its first rejected mutation, so the
+	// withdrawal after the failed insert is not applied either.
+	if err := m.ApplyTopology([]trace.Mutation{trace.InsertMut(tree.None, 2), trace.DeleteMut(leaf)}); !errors.Is(err, tree.ErrIDSpaceFull) {
+		t.Fatalf("ApplyTopology into a full id space: %v, want ErrIDSpaceFull", err)
 	}
 	if after := checkCapture(t, "after", m); !bytes.Equal(after, before) {
 		t.Fatal("failed inserts changed the capture")

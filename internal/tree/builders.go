@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 )
 
 // Path returns a path of n nodes: 0 → 1 → ... → n-1 (root at 0).
@@ -108,41 +109,45 @@ func TwoPathSubtrees(s int) (t *Tree, root, r1, r2 NodeID) {
 }
 
 // Random returns a random recursive tree with n nodes: node v attaches
-// to a uniformly random earlier node, biased toward deeper nodes as
-// depthBias grows (depthBias = 0 gives the uniform random recursive
-// tree, higher values give taller trees). Deterministic in rng.
+// to an earlier node u drawn with weight (1+depth(u))^⌊depthBias⌋, so
+// depthBias = 0 gives the uniform random recursive tree and higher
+// values give taller trees. Deterministic in rng, which it reads once
+// per node.
+//
+// A node's weight never changes once it is placed, so the weights live
+// in one append-only array of prefix sums, and the parent is the first
+// node whose prefix sum reaches the draw, found by binary search: O(n
+// log n) in all. The weights are integers, so while their total stays
+// below 2^53 every prefix sum is exact, and the search picks the node
+// that a linear scan subtracting each weight from the draw picks.
 func Random(rng *rand.Rand, n int, depthBias float64) *Tree {
 	parents := make([]NodeID, n)
 	parents[0] = None
 	depth := make([]int, n)
+	var prefix []float64
+	if depthBias != 0 {
+		prefix = make([]float64, n)
+		prefix[0] = 1 // the root's weight, (1+0)^⌊depthBias⌋
+	}
 	for v := 1; v < n; v++ {
-		// Pick a parent among 0..v-1, with weight (1+depth)^depthBias.
 		var p int
-		if depthBias == 0 {
+		if prefix == nil {
 			p = rng.Intn(v)
 		} else {
-			total := 0.0
-			w := make([]float64, v)
-			for u := 0; u < v; u++ {
-				x := 1.0
-				for i := 0; i < int(depthBias); i++ {
-					x *= float64(1 + depth[u])
-				}
-				w[u] = x
-				total += x
-			}
-			r := rng.Float64() * total
-			for u := 0; u < v; u++ {
-				r -= w[u]
-				if r <= 0 {
-					p = u
-					break
-				}
-				p = u
-			}
+			// Searching the first v-1 prefix sums yields v-1 when none
+			// reaches r, which is where the scan ends too.
+			r := rng.Float64() * prefix[v-1]
+			p = sort.Search(v-1, func(u int) bool { return prefix[u] >= r })
 		}
 		parents[v] = NodeID(p)
 		depth[v] = depth[p] + 1
+		if prefix != nil {
+			w := 1.0
+			for i := 0; i < int(depthBias); i++ {
+				w *= float64(1 + depth[v])
+			}
+			prefix[v] = prefix[v-1] + w
+		}
 	}
 	return MustNew(parents)
 }
