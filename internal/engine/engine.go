@@ -25,14 +25,15 @@
 //     the log's records like live traffic, so replay follows the same
 //     rule too.
 //   - The algorithm owns its counters: requests served (Round), peak
-//     occupancy (MaxCacheLen) and the cost ledger. The worker adds its
-//     own timing and supervision counters and publishes both as one
-//     immutable snapshot per message (a single atomic pointer store),
-//     so Stats may be called at any time from any goroutine without
-//     contending with the serve path and never observes a torn
-//     (cross-field inconsistent) state. New publishes every shard once
-//     before its worker starts, so a restored instance reports its
-//     restored counters from the start.
+//     occupancy (MaxCacheLen) and the cost ledger. The worker keeps its
+//     own timing and supervision counters in the shard's one
+//     ShardStats record and, after every message, copies that record,
+//     the algorithm's counters refreshed, into the published one under
+//     a per-shard mutex, so Stats may be called at any time from any
+//     goroutine and never observes a torn (cross-field inconsistent)
+//     state, and publishing allocates nothing. New publishes every
+//     shard once before its worker starts, so a restored instance
+//     reports its restored counters from the start.
 //   - Shard workers are plain goroutines; GOMAXPROCS bounds how many
 //     serve at once.
 //   - SubmitMulti chunk buffers are engine-owned and cycle through a
@@ -48,18 +49,23 @@
 //
 // A shard whose algorithm implements Checkpointer runs under a
 // supervisor. The worker captures a state snapshot at construction and
-// then every CheckpointEvery served messages, and journals every
-// message applied since the last good checkpoint. When serving panics,
-// the supervisor recovers the panic, restores the algorithm from the
-// checkpoint, replays the journal (deterministically reproducing the
-// pre-fault state without double-counting any statistic — the
-// algorithm's own counters are re-derived by the replay, worker
-// counters are committed only once per message) and retries the
-// faulting message a bounded number of times before dropping it
-// (counted in Dropped). The single-writer property is preserved:
-// supervision runs entirely inside the shard's worker goroutine.
-// Unsupervised shards keep plain Go semantics — a panic propagates and
-// crashes the process.
+// then every CheckpointEvery served messages (DefaultCheckpointEvery
+// unless set), and journals every message applied since the last good
+// checkpoint. When serving panics, the supervisor recovers the panic,
+// restores the algorithm from the checkpoint, replays the journal
+// (deterministically reproducing the pre-fault state without
+// double-counting any statistic — the algorithm's own counters are
+// re-derived by the replay, worker counters are committed only once per
+// message) and retries the faulting message a bounded number of times
+// before dropping it (counted in Dropped). The single-writer property
+// is preserved: supervision runs entirely inside the shard's worker
+// goroutine. Unsupervised shards keep plain Go semantics — a panic
+// propagates and crashes the process — and so does a supervised shard
+// without an accepted capture: one whose first capture failed, or one
+// whose captures failed for maxFailedCadences cadences in a row, which
+// drops its journal and recovery point (counted in JournalDrops) rather
+// than journal without bound. Failed captures are retried once per
+// cadence; the next accepted one re-arms supervision.
 //
 // A capture of a core.MutableTC (through snapshot.Checkpointed) costs
 // O(entries changed since the shard's previous capture) plus one copy
@@ -80,7 +86,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -152,7 +157,7 @@ type FullExporter interface {
 // accepted as the shard's recovery point or handed out by Checkpoint;
 // a verification failure keeps the previous good checkpoint in force
 // (counted in CkptErrs) and lets the journal keep growing until a
-// capture passes.
+// capture passes, for at most maxFailedCadences cadences.
 type SnapshotVerifier interface {
 	VerifySnapshot(data []byte) error
 }
@@ -166,14 +171,16 @@ type Config struct {
 	// worker goroutine afterwards. Must not be nil.
 	NewShard func(shard int) Algorithm
 	// QueueLen is the per-shard batch queue capacity; Submit blocks
-	// while a shard's queue is full (backpressure). Default 64.
+	// while a shard's queue is full (backpressure). 0 selects
+	// DefaultQueueLen.
 	QueueLen int
 	// CheckpointEvery is the supervision cadence for shards whose
 	// algorithm implements Checkpointer: a fresh state snapshot is
 	// captured every CheckpointEvery served messages (and at every
-	// Drain point), bounding the recovery journal to that many
-	// messages. 0 selects the default (the queue capacity); a negative
-	// value disables supervision even for Checkpointer algorithms.
+	// Drain point), bounding the recovery journal to that many messages
+	// while captures succeed. 0 selects DefaultCheckpointEvery; a
+	// negative value disables supervision even for Checkpointer
+	// algorithms.
 	CheckpointEvery int
 	// RatioMonitors optionally attaches an online competitive-ratio
 	// monitor to shard i (nil entries and missing tail entries mean no
@@ -184,10 +191,20 @@ type Config struct {
 	RatioMonitors []*metrics.RatioMonitor
 }
 
-// ShardStats is one shard's published counters: a consistent snapshot
-// taken at the shard's last completed message, or at New before the
-// first (published atomically as a whole, so fields are never mutually
-// torn). After Drain the snapshot covers all drained work exactly.
+// Production defaults: the values a zero Config selects, and so the
+// configuration treecached serves with.
+const (
+	// DefaultQueueLen is the per-shard queue capacity, in messages.
+	DefaultQueueLen = 64
+	// DefaultCheckpointEvery is the supervision cadence, in messages.
+	DefaultCheckpointEvery = 32
+)
+
+// ShardStats is one shard's counters, and the worker's only record of
+// them. Stats returns a consistent copy taken at the shard's last
+// completed message, or at New before the first (published as a whole,
+// so fields are never mutually torn). After Drain the copy covers all
+// drained work exactly.
 // Rounds, the ledger fields and MaxCache are the algorithm's own, so
 // they include any state the instance was restored with; the rest are
 // the worker's and count every message submitted since New. A daemon
@@ -223,57 +240,66 @@ type ShardStats struct {
 	// wall time spent capturing and verifying checkpoints (accepted or
 	// not), CkptBytes the size of the last accepted one, and CkptFull
 	// the captures (accepted or not) that re-derived every entry, on a
-	// FullExporter. On an unsupervised shard only Checkpoint's captures
-	// count.
-	Restarts    int64
-	Checkpoints int64
-	CkptErrs    int64
-	Dropped     int64
-	CkptNs      int64
-	CkptBytes   int64
-	CkptFull    int64
+	// FullExporter. JournalDrops counts the times captures failed for
+	// maxFailedCadences cadences in a row and the shard dropped its
+	// journal and recovery point. On an unsupervised shard only
+	// Checkpoint's captures count.
+	Restarts     int64
+	Checkpoints  int64
+	CkptErrs     int64
+	Dropped      int64
+	CkptNs       int64
+	CkptBytes    int64
+	CkptFull     int64
+	JournalDrops int64
 	// Latency is the shard's per-request service-latency histogram:
 	// each served batch records its amortized per-request latency
 	// (batch wall time / batch size) with weight = batch size, so
 	// quantiles are request-weighted without a clock read per request.
-	// Embedded by value: the published snapshot carries a consistent
-	// copy, and recording stays allocation-free in the worker.
+	// Held by value, so publishing the record copies it and recording
+	// stays allocation-free in the worker.
 	Latency metrics.Histogram
 }
 
 // Total returns Serve + Move.
 func (s ShardStats) Total() int64 { return s.Serve + s.Move }
 
-// Stats aggregates the fleet: the per-shard snapshots plus their sums,
-// fleet-wide maxima and the merged latency histogram.
-type Stats struct {
-	Shards []ShardStats
-	// Sums over all shards.
-	Rounds      int64
-	Serve       int64
-	Move        int64
-	Fetched     int64
-	Evicted     int64
-	Batches     int64
-	BusyNs      int64
-	TopoApplied int64
-	TopoErrs    int64
-	Restarts    int64
-	Checkpoints int64
-	CkptErrs    int64
-	Dropped     int64
-	CkptNs      int64
-	// Fleet-wide maxima over the per-shard maxima (not sums: a peak
-	// does not add across shards).
-	MaxCache int   // largest per-shard peak cache occupancy
-	MaxBatch int64 // slowest single batch anywhere in the fleet, ns
-	// Latency merges every shard's histogram: the fleet-level
-	// request-latency distribution.
-	Latency metrics.Histogram
+// add folds o into s as fleet totals: counters (QueueDepth included)
+// are summed, MaxCache, MaxBatch and CkptBytes take the larger value (a
+// peak or a size does not add across shards), and the latency
+// histograms merge.
+func (s *ShardStats) add(o *ShardStats) {
+	s.Rounds += o.Rounds
+	s.Serve += o.Serve
+	s.Move += o.Move
+	s.Fetched += o.Fetched
+	s.Evicted += o.Evicted
+	s.MaxCache = max(s.MaxCache, o.MaxCache)
+	s.Batches += o.Batches
+	s.BusyNs += o.BusyNs
+	s.MaxBatch = max(s.MaxBatch, o.MaxBatch)
+	s.TopoApplied += o.TopoApplied
+	s.TopoErrs += o.TopoErrs
+	s.QueueDepth += o.QueueDepth
+	s.Restarts += o.Restarts
+	s.Checkpoints += o.Checkpoints
+	s.CkptErrs += o.CkptErrs
+	s.Dropped += o.Dropped
+	s.CkptNs += o.CkptNs
+	s.CkptBytes = max(s.CkptBytes, o.CkptBytes)
+	s.CkptFull += o.CkptFull
+	s.JournalDrops += o.JournalDrops
+	s.Latency.Merge(&o.Latency)
 }
 
-// Total returns the fleet-wide Serve + Move.
-func (s Stats) Total() int64 { return s.Serve + s.Move }
+// Stats is the fleet's counters: every shard's record, and the embedded
+// fleet totals folded from them by add (Shard and Algorithm are left
+// unset there). Latency is the fleet-level request-latency
+// distribution.
+type Stats struct {
+	ShardStats
+	Shards []ShardStats
+}
 
 // message is one queue entry: a batch of requests, a topology-mutation
 // control message, or a drain token. box, when non-nil, marks an
@@ -306,24 +332,22 @@ type flushAck struct {
 // supervisor is a shard's recovery state, confined to the worker.
 type supervisor struct {
 	every int    // checkpoint cadence, messages
-	ckpt  []byte // last accepted snapshot (nil: none yet)
+	ckpt  []byte // last accepted snapshot (nil: none, so a panic propagates)
 	// journal holds every message applied since ckpt, in order; replay
 	// after a restore reproduces the pre-fault state deterministically.
+	// It stays empty while ckpt is nil: there is nothing to replay onto.
 	journal []message
+	// since counts the messages applied since the last accepted capture
+	// (since New, before the first): a cadence capture is due at every
+	// multiple of every.
+	since int
 }
 
-// counters is the worker's own statistics state, beside the counters
-// the algorithm keeps; values are committed exactly once per
-// successfully served message and escape only through the atomic
-// per-shard publication.
-type counters struct {
-	batches, busyNs, maxBatch       int64
-	topoOK, topoErrs                int64
-	restarts, checkpoints, ckptErrs int64
-	dropped                         int64
-	ckptNs, ckptBytes, ckptFull     int64
-	lat                             metrics.Histogram
-}
+// maxFailedCadences bounds the journal while captures fail: once this
+// many cadences in a row end without an accepted capture, the shard
+// drops its journal and recovery point and serves with plain panic
+// semantics until a capture is accepted again.
+const maxFailedCadences = 4
 
 type shard struct {
 	id   int
@@ -339,11 +363,13 @@ type shard struct {
 	ratio       *metrics.RatioMonitor // non-nil when a ratio monitor is attached
 	in          chan message
 	done        chan struct{}
-	// pub is the published snapshot: a fresh immutable ShardStats is
-	// stored by New and then once per message by the shard's single
-	// writer, so readers always see an internally consistent (never
-	// torn) snapshot.
-	pub atomic.Pointer[ShardStats]
+	// rec is the shard's counter record, written only by its worker
+	// (and by New before the worker starts). publish copies it into
+	// pub under mu after every message, so readers always see an
+	// internally consistent (never torn) record.
+	rec ShardStats
+	mu  sync.Mutex
+	pub ShardStats
 }
 
 // Engine is the sharded serving engine. Create one with New. Submit,
@@ -380,7 +406,7 @@ func New(cfg Config) *Engine {
 	}
 	queue := cfg.QueueLen
 	if queue <= 0 {
-		queue = 64
+		queue = DefaultQueueLen
 	}
 	e := &Engine{
 		shards: make([]*shard, cfg.Shards),
@@ -398,6 +424,7 @@ func New(cfg Config) *Engine {
 			algo: algo,
 			in:   make(chan message, queue),
 			done: make(chan struct{}),
+			rec:  ShardStats{Shard: i, Algorithm: algo.Name()},
 		}
 		s.topo, _ = algo.(TopologyServer)
 		if i < len(cfg.RatioMonitors) {
@@ -413,12 +440,12 @@ func New(cfg Config) *Engine {
 		if s.ck != nil && cfg.CheckpointEvery >= 0 {
 			every := cfg.CheckpointEvery
 			if every == 0 {
-				every = queue
+				every = DefaultCheckpointEvery
 			}
 			s.sup = &supervisor{every: every}
 		}
 		e.shards[i] = s
-		s.publish(&counters{})
+		s.publish()
 		go e.worker(s)
 	}
 	return e
@@ -685,94 +712,72 @@ func (e *Engine) Close() {
 func (e *Engine) Stats() Stats {
 	st := Stats{Shards: make([]ShardStats, len(e.shards))}
 	for i, s := range e.shards {
-		ss := *s.pub.Load()
+		ss := &st.Shards[i]
+		*ss = s.published()
 		ss.QueueDepth = len(s.in)
-		st.Shards[i] = ss
-		st.Rounds += ss.Rounds
-		st.Serve += ss.Serve
-		st.Move += ss.Move
-		st.Fetched += ss.Fetched
-		st.Evicted += ss.Evicted
-		st.Batches += ss.Batches
-		st.BusyNs += ss.BusyNs
-		st.TopoApplied += ss.TopoApplied
-		st.TopoErrs += ss.TopoErrs
-		st.Restarts += ss.Restarts
-		st.Checkpoints += ss.Checkpoints
-		st.CkptErrs += ss.CkptErrs
-		st.Dropped += ss.Dropped
-		st.CkptNs += ss.CkptNs
-		// Maxima aggregate as maxima, not sums.
-		if ss.MaxCache > st.MaxCache {
-			st.MaxCache = ss.MaxCache
-		}
-		if ss.MaxBatch > st.MaxBatch {
-			st.MaxBatch = ss.MaxBatch
-		}
-		st.Latency.Merge(&ss.Latency)
+		st.add(ss)
 	}
 	return st
 }
 
 // worker is the single goroutine that owns shard s. All algorithm
-// state and the running counters are confined to it; only the
-// per-message atomic publication escapes.
+// state and the shard's counter record are confined to it; only the
+// per-message publication escapes.
 func (e *Engine) worker(s *shard) {
 	defer close(s.done)
-	var w counters
 	if s.sup != nil {
 		// Initial recovery point: a shard that faults before its first
 		// periodic checkpoint restores to its constructed state.
-		s.sup.checkpoint(s, &w)
+		e.checkpoint(s)
 	}
 	for msg := range s.in {
 		if msg.flush != nil {
-			msg.flush.acks <- e.consistencyPoint(s, &w, msg.flush.capture)
+			msg.flush.acks <- e.consistencyPoint(s, msg.flush.capture)
 			continue
 		}
-		e.serve(s, &w, msg)
-		s.publish(&w)
+		e.serve(s, msg)
+		s.publish()
 	}
 }
 
 // serve applies one batch or topology message, under supervision when
 // the shard has it, and commits its counters once it was applied (a
 // supervised message can be dropped after exhausting panic retries). A
-// batch is timed and feeds the ratio monitor.
-func (e *Engine) serve(s *shard, w *counters, msg message) {
+// batch is timed and feeds the ratio monitor. A pooled batch buffer
+// returns to the free list once served, unless the journal keeps it.
+func (e *Engine) serve(s *shard, msg message) {
 	var ratioBase int64
 	if s.ratio != nil {
 		ratioBase = s.algo.Ledger().Total()
 	}
 	start := time.Now()
 	var ok, errs int64
-	served := true
+	served, kept := true, false
 	if s.sup == nil {
 		ok, errs = s.apply(msg)
 	} else {
-		ok, errs, served = e.supervised(s, w, msg)
+		ok, errs, served, kept = e.supervised(s, msg)
 	}
 	elapsed := time.Since(start).Nanoseconds()
+	w := &s.rec
 	switch {
 	case !served:
 	case msg.muts != nil:
-		w.topoOK += ok
-		w.topoErrs += errs
+		w.TopoApplied += ok
+		w.TopoErrs += errs
 	default:
 		n := int64(len(msg.batch))
-		w.batches++
-		w.busyNs += elapsed
-		if elapsed > w.maxBatch {
-			w.maxBatch = elapsed
-		}
+		w.Batches++
+		w.BusyNs += elapsed
+		w.MaxBatch = max(w.MaxBatch, elapsed)
 		// Amortized per-request latency, request-weighted: one
 		// histogram update per batch, no per-request clock reads.
-		w.lat.RecordN(elapsed/n, n)
+		w.Latency.RecordN(elapsed/n, n)
 		if s.ratio != nil {
 			s.ratio.Observe(msg.batch, s.algo.Ledger().Total()-ratioBase)
 		}
 	}
-	if s.sup == nil && msg.box != nil {
+	if !kept && msg.box != nil {
 		e.putBatchBuf(msg.box, msg.batch)
 	}
 }
@@ -808,26 +813,46 @@ const maxRetries = 3
 // algorithm is restored from the last checkpoint, the journal is
 // replayed to reproduce the pre-fault state, and the message retried.
 // It returns the counter deltas of the attempt that succeeded, for the
-// caller to commit once, and served false when the message was dropped.
-func (e *Engine) supervised(s *shard, w *counters, msg message) (ok, errs int64, served bool) {
-	sup := s.sup
+// caller to commit once, served false when the message was dropped, and
+// kept true when the journal holds the message.
+func (e *Engine) supervised(s *shard, msg message) (ok, errs int64, served, kept bool) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		ok, errs, panicked := s.attempt(msg)
 		if !panicked {
-			sup.journal = append(sup.journal, msg)
-			if len(sup.journal) >= sup.every && sup.checkpoint(s, w) == nil {
-				e.recycleJournal(sup)
-			}
-			return ok, errs, true
+			return ok, errs, true, e.commit(s, msg)
 		}
-		w.restarts++
-		sup.recover(s)
+		s.rec.Restarts++
+		s.sup.recover(s)
 	}
-	w.dropped++
-	if msg.box != nil {
-		e.putBatchBuf(msg.box, msg.batch)
+	s.rec.Dropped++
+	return 0, 0, false, false
+}
+
+// commit records an applied message with the supervisor and takes the
+// cadence capture once every messages have been applied since the last
+// accepted one. An accepted capture covers the message, so the journal
+// keeps it only when there is no such capture and there is a recovery
+// point to replay it onto. A supervisor whose captures failed for
+// maxFailedCadences cadences drops its journal and recovery point
+// (JournalDrops); it keeps retrying at every cadence.
+func (e *Engine) commit(s *shard, msg message) (kept bool) {
+	sup := s.sup
+	sup.since++
+	if sup.since%sup.every == 0 {
+		if e.checkpoint(s) == nil {
+			return false
+		}
+		if sup.ckpt != nil && sup.since >= maxFailedCadences*sup.every {
+			e.recycleJournal(sup)
+			sup.ckpt = nil
+			s.rec.JournalDrops++
+		}
 	}
-	return 0, 0, false
+	if sup.ckpt == nil {
+		return false
+	}
+	sup.journal = append(sup.journal, msg)
+	return true
 }
 
 // attempt applies one message, converting a panic anywhere below the
@@ -836,9 +861,10 @@ func (s *shard) attempt(msg message) (ok, errs int64, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if s.sup.ckpt == nil {
-				// No recovery point was ever accepted (Snapshot has
-				// been failing since construction): supervision cannot
-				// restore, so keep plain Go semantics.
+				// No recovery point: the first capture failed, or the
+				// shard dropped its own after captures kept failing.
+				// Supervision cannot restore, so keep plain Go
+				// semantics.
 				panic(r)
 			}
 			ok, errs, panicked = 0, 0, true
@@ -869,7 +895,8 @@ func (sup *supervisor) recover(s *shard) {
 // failed or rejected one in CkptErrs, and one that re-derived every
 // entry also in CkptFull; capture plus verification is timed with two
 // clock reads.
-func (s *shard) capture(w *counters) ([]byte, error) {
+func (s *shard) capture() ([]byte, error) {
+	w := &s.rec
 	start := time.Now()
 	var full int64
 	if s.fullExports != nil {
@@ -877,59 +904,61 @@ func (s *shard) capture(w *counters) ([]byte, error) {
 	}
 	blob, err := s.ck.Snapshot()
 	if s.fullExports != nil && s.fullExports() != full {
-		w.ckptFull++
+		w.CkptFull++
 	}
 	if err == nil && s.verify != nil {
 		err = s.verify(blob)
 	}
-	w.ckptNs += time.Since(start).Nanoseconds()
+	w.CkptNs += time.Since(start).Nanoseconds()
 	if err != nil {
-		w.ckptErrs++
+		w.CkptErrs++
 		return nil, err
 	}
-	w.checkpoints++
-	w.ckptBytes = int64(len(blob))
+	w.Checkpoints++
+	w.CkptBytes = int64(len(blob))
 	return blob, nil
 }
 
-// checkpoint captures a new recovery point. An accepted blob replaces
-// the shard's checkpoint; on failure the previous checkpoint stays in
-// force and the journal keeps growing.
-func (sup *supervisor) checkpoint(s *shard, w *counters) error {
-	blob, err := s.capture(w)
-	if err == nil {
-		sup.ckpt = blob
+// checkpoint captures a new recovery point for a supervised shard. An
+// accepted blob replaces the shard's checkpoint and releases the
+// journal; on failure the previous checkpoint stays in force.
+func (e *Engine) checkpoint(s *shard) error {
+	blob, err := s.capture()
+	if err != nil {
+		return err
 	}
-	return err
+	sup := s.sup
+	sup.ckpt, sup.since = blob, 0
+	e.recycleJournal(sup)
+	return nil
 }
 
 // consistencyPoint answers a drain token once every earlier message of
-// the shard is served. A supervised shard with journaled work
-// checkpoints here, which releases the drained (possibly caller-owned)
-// batches from the journal; Drain hands that memory back to the caller
-// either way, so a rejected capture leaves engine-owned copies in the
-// journal instead. A supervised shard answers with its last accepted
-// capture, which an empty journal proves current; an unsupervised one
-// captures only for a Checkpoint token.
-func (e *Engine) consistencyPoint(s *shard, w *counters, capture bool) flushAck {
+// the shard is served. A supervised shard with work applied since its
+// last accepted capture checkpoints here, which releases the drained
+// (possibly caller-owned) batches from the journal; Drain hands that
+// memory back to the caller either way, so a rejected capture leaves
+// engine-owned copies in the journal instead. A supervised shard
+// answers with its last accepted capture, which proves current when
+// nothing was applied since; an unsupervised one captures only for a
+// Checkpoint token.
+func (e *Engine) consistencyPoint(s *shard, capture bool) flushAck {
 	ack := flushAck{shard: s.id}
 	switch sup := s.sup; {
 	case sup != nil:
-		if len(sup.journal) > 0 || capture && sup.ckpt == nil {
-			if ack.err = sup.checkpoint(s, w); ack.err == nil {
-				e.recycleJournal(sup)
-			} else {
+		if sup.since > 0 || capture && sup.ckpt == nil {
+			if ack.err = e.checkpoint(s); ack.err != nil {
 				sup.ownJournal()
 			}
-			s.publish(w)
+			s.publish()
 		}
 		ack.blob = sup.ckpt
 	case !capture:
 	case s.ck == nil:
 		ack.err = fmt.Errorf("algorithm %q does not implement Checkpointer", s.name)
 	default:
-		ack.blob, ack.err = s.capture(w)
-		s.publish(w)
+		ack.blob, ack.err = s.capture()
+		s.publish()
 	}
 	return ack
 }
@@ -962,32 +991,24 @@ func (e *Engine) recycleJournal(sup *supervisor) {
 	sup.journal = sup.journal[:0]
 }
 
-// publish stores one immutable stats snapshot: the algorithm's own
-// counters beside the worker's. Only the shard's worker calls it, and
-// New once before starting the worker.
-func (s *shard) publish(w *counters) {
+// published returns a copy of the shard's published record.
+func (s *shard) published() ShardStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pub
+}
+
+// publish refreshes the record's algorithm counters (rounds, ledger and
+// peak occupancy are the algorithm's own) and copies the record into the
+// published one. Only the shard's worker calls it, and New once before
+// starting the worker.
+func (s *shard) publish() {
+	w := &s.rec
 	led := s.algo.Ledger()
-	s.pub.Store(&ShardStats{
-		Shard:       s.id,
-		Algorithm:   s.name,
-		Rounds:      s.algo.Round(),
-		Serve:       led.Serve,
-		Move:        led.Move,
-		Fetched:     led.Fetched,
-		Evicted:     led.Evicted,
-		MaxCache:    s.algo.MaxCacheLen(),
-		Batches:     w.batches,
-		BusyNs:      w.busyNs,
-		MaxBatch:    w.maxBatch,
-		TopoApplied: w.topoOK,
-		TopoErrs:    w.topoErrs,
-		Restarts:    w.restarts,
-		Checkpoints: w.checkpoints,
-		CkptErrs:    w.ckptErrs,
-		Dropped:     w.dropped,
-		CkptNs:      w.ckptNs,
-		CkptBytes:   w.ckptBytes,
-		CkptFull:    w.ckptFull,
-		Latency:     w.lat,
-	})
+	w.Rounds = s.algo.Round()
+	w.Serve, w.Move, w.Fetched, w.Evicted = led.Serve, led.Move, led.Fetched, led.Evicted
+	w.MaxCache = s.algo.MaxCacheLen()
+	s.mu.Lock()
+	s.pub = *w
+	s.mu.Unlock()
 }

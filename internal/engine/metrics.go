@@ -9,7 +9,7 @@ import (
 
 // Histogram returns a copy of shard i's request-latency histogram as
 // of the shard's last completed batch. Safe to call at any time.
-func (e *Engine) Histogram(i int) metrics.Histogram { return e.shards[i].pub.Load().Latency }
+func (e *Engine) Histogram(i int) metrics.Histogram { return e.shards[i].published().Latency }
 
 // RatioMonitor returns shard i's attached competitive-ratio monitor,
 // or nil when none was configured.
@@ -116,6 +116,8 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 		func(s ShardStats) int64 { return s.CkptNs })
 	counter("treecache_checkpoint_full_total", "State captures that re-derived every entry (the first, and any after a phase end, rebuild or restore, or with too many entries changed to patch); the others cost what changed.",
 		func(s ShardStats) int64 { return s.CkptFull })
+	counter("treecache_journal_drops_total", "Times captures failed for "+strconv.Itoa(maxFailedCadences)+" cadences in a row and the shard dropped its supervision journal and recovery point, serving with plain panic semantics until a capture is accepted.",
+		func(s ShardStats) int64 { return s.JournalDrops })
 
 	gauge("treecache_queue_depth", "Shard queue occupancy at scrape time.",
 		func(s ShardStats) int64 { return int64(s.QueueDepth) })
@@ -154,6 +156,11 @@ func (e *Engine) writeMetrics(w http.ResponseWriter) {
 			"Competitive-ratio windows evaluated.")
 		e.eachRatio(func(i int, m *metrics.RatioMonitor) {
 			x.Int("treecache_ratio_windows_total", labels[i], m.Windows())
+		})
+		x.Header("treecache_ratio_windows_skipped_total", "counter",
+			"Competitive-ratio windows not scored because they request a rule the monitor's tree lacks (one announced by a topology mutation).")
+		e.eachRatio(func(i int, m *metrics.RatioMonitor) {
+			x.Int("treecache_ratio_windows_skipped_total", labels[i], m.Skipped())
 		})
 	}
 }

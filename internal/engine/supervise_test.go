@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/metrics"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/tree"
@@ -101,6 +103,125 @@ func TestSupervisedPoisonDropped(t *testing.T) {
 	algo := eng.Algorithm(0).(*poisonAlgo)
 	if algo.served != 6 {
 		t.Fatalf("algorithm served %d requests, want 6", algo.served)
+	}
+}
+
+// capFailAlgo is a poisonAlgo whose Snapshot fails from its failFrom-th
+// call on (1-based; 0 never fails).
+type capFailAlgo struct {
+	poisonAlgo
+	calls, failFrom int
+}
+
+func (a *capFailAlgo) Snapshot() ([]byte, error) {
+	a.calls++
+	if a.failFrom > 0 && a.calls >= a.failFrom {
+		return nil, errors.New("capFailAlgo: capture failed")
+	}
+	return a.poisonAlgo.Snapshot()
+}
+
+// TestSupervisionJournalBounded: a shard whose captures keep failing
+// retries them once per cadence, not after every message, and journals
+// at most four cadences of messages: then it drops the journal and its
+// recovery point and serves unsupervised, journaling nothing, until a
+// capture is accepted again, which re-arms supervision.
+func TestSupervisionJournalBounded(t *testing.T) {
+	const every, batches = 4, 1000
+	for _, tc := range []struct {
+		name     string
+		failFrom int
+		// errs counts the failed captures: the retries at every
+		// cadence multiple, the drain's, and a failed initial one.
+		errs, drops int64
+	}{
+		// No recovery point ever: nothing to journal, nothing to drop.
+		{"always", 1, 1 + batches/every + 1, 0},
+		// The initial capture is accepted, the next four fail, and the
+		// shard drops the 15 journaled messages with its recovery point.
+		{"after the first", 2, batches/every + 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			algo := &capFailAlgo{poisonAlgo: poisonAlgo{poison: 99}, failFrom: tc.failFrom}
+			eng := engine.New(engine.Config{
+				Shards:          1,
+				CheckpointEvery: every,
+				NewShard:        func(int) engine.Algorithm { return algo },
+			})
+			defer eng.Close()
+			good := trace.Trace{{Node: 1}, {Node: 2}}
+			for i := 0; i < batches; i++ {
+				if err := eng.Submit(0, good); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.Drain()
+			st := eng.Stats().Shards[0]
+			if st.CkptErrs != tc.errs || st.JournalDrops != tc.drops {
+				t.Fatalf("%d failed captures, %d journal drops; want %d and %d",
+					st.CkptErrs, st.JournalDrops, tc.errs, tc.drops)
+			}
+			if n := engine.JournalLen(eng, 0); n != 0 {
+				t.Fatalf("journal holds %d messages after %d failed cadences, want 0", n, batches/every)
+			}
+			if st.Rounds != 2*batches {
+				t.Fatalf("rounds = %d, want %d", st.Rounds, 2*batches)
+			}
+
+			// Captures work again: the drain's is accepted and re-arms
+			// supervision, so a poison batch is dropped after its
+			// retries instead of crashing the process.
+			algo.failFrom = 0
+			eng.Drain()
+			if err := eng.Submit(0, trace.Trace{{Node: 3}, {Node: 99}}); err != nil {
+				t.Fatal(err)
+			}
+			eng.Drain()
+			st = eng.Stats().Shards[0]
+			if st.Restarts != 3 || st.Dropped != 1 || st.Rounds != 2*batches {
+				t.Fatalf("after re-arming: %d restarts, %d dropped, %d rounds; want 3, 1 and %d",
+					st.Restarts, st.Dropped, st.Rounds, 2*batches)
+			}
+		})
+	}
+}
+
+// TestRatioMonitorSupervisedPooledBatches: on a supervised shard whose
+// cadence capture follows every message, the ratio monitor still reads
+// each SubmitMulti batch before its pooled buffer returns to the free
+// list, where the dispatcher refills it. Run under -race.
+func TestRatioMonitorSupervisedPooledBatches(t *testing.T) {
+	trees := fleet(2)
+	cfg := core.MutableConfig{Config: core.Config{Alpha: 4, Capacity: 16}}
+	monitors := make([]*metrics.RatioMonitor, len(trees))
+	for i, tr := range trees {
+		monitors[i] = metrics.NewRatioMonitor(metrics.RatioConfig{Tree: tr, Alpha: 4, Capacity: 16, Window: 64})
+	}
+	eng := engine.New(engine.Config{
+		Shards:          len(trees),
+		CheckpointEvery: 1,
+		NewShard: func(i int) engine.Algorithm {
+			return snapshot.Checkpointed{MutableTC: core.NewMutable(trees[i], cfg)}
+		},
+		RatioMonitors: monitors,
+	})
+	defer eng.Close()
+	mt := trace.MultiTenant(rand.New(rand.NewSource(7)), trees, trace.MultiTenantConfig{
+		Rounds: 1 << 12, TenantS: 0, NodeS: 1.0, NegFrac: 0.2,
+	})
+	for round := 0; round < 4; round++ {
+		if err := eng.SubmitMulti(mt, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Drain()
+	for i, m := range monitors {
+		if m.Windows() == 0 {
+			t.Fatalf("shard %d's monitor scored no window", i)
+		}
+	}
+	if st := eng.Stats(); st.Rounds != 4<<12 {
+		t.Fatalf("rounds = %d, want %d", st.Rounds, 4<<12)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -396,12 +395,12 @@ func fleetBench(shards, runLen int) func(*testing.B) {
 }
 
 // daemonBench boots an in-process server on an ephemeral loopback port
-// (no persistence, no quota, supervision checkpoints off so the row
-// isolates the wire+dispatch path) and drives b.N requests through
-// real wire clients, one goroutine per tenant, in pre-chunked batches.
-// With wal, the write-ahead log is on at the daemon's default 2ms
-// group-commit window and acks wait for the covering fsync. The engine
-// is drained before the timer stops.
+// with treecached's configuration — the zero server.Config's defaults,
+// supervision on — and no persistence or quota, and drives b.N
+// requests through real wire clients, one goroutine per tenant, in
+// pre-chunked batches. With wal, the write-ahead log is on at the
+// default group-commit window and acks wait for the covering fsync.
+// The engine is drained before the timer stops.
 func daemonBench(clients int, wal bool) func(*testing.B) {
 	return func(b *testing.B) {
 		t := benchTree()
@@ -413,18 +412,15 @@ func daemonBench(clients int, wal bool) func(*testing.B) {
 			inputs[s] = chunked(trace.RandomMixed(rng, t, 1<<16))
 		}
 		cfg := server.Config{
-			Addr:            "127.0.0.1:0",
-			Trees:           trees,
-			Alpha:           8,
-			Capacity:        t.Len() / 2,
-			QueueLen:        64,
-			CheckpointEvery: -1,
+			Addr:     "127.0.0.1:0",
+			Trees:    trees,
+			Alpha:    8,
+			Capacity: t.Len() / 2,
 		}
 		if wal {
 			dir := b.TempDir()
 			cfg.StateDir = dir
 			cfg.WALDir = dir
-			cfg.FsyncInterval = 2 * time.Millisecond
 		}
 		srv, err := server.New(cfg)
 		if err != nil {

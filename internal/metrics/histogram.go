@@ -7,9 +7,8 @@
 //
 // Everything here is stdlib-only and allocation-free on the record
 // path: Histogram is a plain value type (a fixed bucket array plus a
-// few scalars), so it can live inside worker-local counters and be
-// published by value through the engine's immutable per-shard stats
-// snapshots without touching the heap.
+// few scalars), so it can live inside a shard's counter record and be
+// published by value with it without touching the heap.
 package metrics
 
 import "math/bits"
@@ -20,8 +19,8 @@ import "math/bits"
 // reconstructed quantile by 1/subBuckets = 12.5%. With 8 sub-buckets
 // and the full int64 range the layout needs 8 + 60*8 = 488 buckets
 // (~3.9 KB as int64 counts) — small enough to copy per batch into the
-// published snapshot, precise enough for p50/p99/p999 over nanosecond
-// latencies.
+// published stats record, precise enough for p50/p99/p999 over
+// nanosecond latencies.
 const (
 	bucketBits = 3
 	subBuckets = 1 << bucketBits // 8 linear sub-buckets per octave

@@ -48,6 +48,11 @@ type RatioConfig struct {
 // rolling maximum (Worst) over many windows is the operationally
 // meaningful SLO signal.
 //
+// Windows are scored against the tree the monitor was built with. A
+// window that requests a node outside it — a rule announced by a
+// topology mutation after construction — cannot be scored, so it is
+// skipped and counted (Skipped) instead.
+//
 // All methods are safe for concurrent use.
 type RatioMonitor struct {
 	mu      sync.Mutex
@@ -57,6 +62,7 @@ type RatioMonitor struct {
 	ratio   float64
 	worst   float64
 	windows int64
+	skipped int64
 }
 
 // NewRatioMonitor validates cfg and builds a monitor. It panics on a
@@ -106,9 +112,33 @@ func (m *RatioMonitor) Flush() {
 	}
 }
 
-// evaluate computes offline(window) and folds the window into the
-// gauges. Called with mu held.
+// evaluate folds the open window into the gauges, or counts it as
+// skipped when it requests a node outside the monitor's tree, and
+// empties it. Called with mu held.
 func (m *RatioMonitor) evaluate() {
+	if m.scorable() {
+		m.score()
+	} else {
+		m.skipped++
+	}
+	m.pending = m.pending[:0]
+	m.cost = 0
+}
+
+// scorable reports whether every request of the open window names a
+// node of the monitor's tree.
+func (m *RatioMonitor) scorable() bool {
+	n := tree.NodeID(m.cfg.Tree.Len())
+	for _, r := range m.pending {
+		if r.Node < 0 || r.Node >= n {
+			return false
+		}
+	}
+	return true
+}
+
+// score computes offline(window) and updates the ratio gauges.
+func (m *RatioMonitor) score() {
 	var offline int64
 	if m.cfg.Exact {
 		offline = opt.Exact(m.cfg.Tree, m.pending, m.cfg.Capacity, m.cfg.Alpha).Cost
@@ -127,8 +157,6 @@ func (m *RatioMonitor) evaluate() {
 		m.worst = m.ratio
 	}
 	m.windows++
-	m.pending = m.pending[:0]
-	m.cost = 0
 }
 
 // Ratio returns the most recent window's competitive ratio and whether
@@ -152,6 +180,14 @@ func (m *RatioMonitor) Windows() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.windows
+}
+
+// Skipped returns how many windows were not scored because they
+// request a node outside the monitor's tree.
+func (m *RatioMonitor) Skipped() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.skipped
 }
 
 // Pending returns how many requests are waiting in the open window.

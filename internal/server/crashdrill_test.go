@@ -30,21 +30,20 @@ func TestMain(m *testing.M) {
 }
 
 // runCrashChild boots the daemon with the drill's fixed geometry — the
-// two-tenant walFleet, so both tenants share the one log — and blocks
-// until SIGKILL. Configuration arrives via environment: listen
-// address, admin address, state dir.
+// two-tenant walFleet, so both tenants share the one log — and
+// treecached's tuning (the zero Config's defaults), and blocks until
+// SIGKILL. Configuration arrives via environment: listen address, admin
+// address, state dir.
 func runCrashChild() {
 	cfg := server.Config{
 		Addr:               os.Getenv("CRASH_ADDR"),
 		AdminAddr:          os.Getenv("CRASH_ADMIN"),
 		StateDir:           os.Getenv("CRASH_STATE"),
 		WALDir:             os.Getenv("CRASH_STATE"),
-		FsyncInterval:      2 * time.Millisecond,
 		CheckpointInterval: 25 * time.Millisecond,
 		Trees:              walFleet(),
 		Alpha:              4,
 		Capacity:           16,
-		QueueLen:           16,
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

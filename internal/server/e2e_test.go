@@ -3,10 +3,13 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -425,14 +428,14 @@ func TestServerWireSemantics(t *testing.T) {
 }
 
 // TestServerOversizedFrame: a length prefix beyond the server's limit
-// is rejected before allocation and the connection is closed.
+// (wire.DefaultMaxPayload) is rejected before allocation and the
+// connection is closed.
 func TestServerOversizedFrame(t *testing.T) {
 	srv, err := server.New(server.Config{
 		Addr:     "127.0.0.1:0",
 		Trees:    []*tree.Tree{tree.Path(8)},
 		Alpha:    2,
 		Capacity: 4,
-		MaxFrame: 1 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -451,8 +454,9 @@ func TestServerOversizedFrame(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	// Header claiming a 1 MiB payload against a 1 KiB limit.
-	hdr := []byte{'T', 'W', wire.Version, byte(wire.TServe), 0, 0, 16, 0}
+	// Header claiming one byte more than the limit.
+	hdr := wire.AppendFrame(nil, wire.TServe, nil)
+	binary.LittleEndian.PutUint32(hdr[4:], wire.DefaultMaxPayload+1)
 	if _, err := conn.Write(hdr); err != nil {
 		t.Fatal(err)
 	}
@@ -462,6 +466,68 @@ func TestServerOversizedFrame(t *testing.T) {
 	}
 	if _, err := wire.ReadFrame(conn, wire.DefaultMaxPayload); err == nil {
 		t.Fatal("connection stayed open after oversized frame")
+	}
+}
+
+// TestServerStalledFrameClaimsCostWhatArrives: a connection whose
+// header claims a maximal serve payload and then sends one byte makes
+// the daemon allocate about one read step, not the claimed megabyte.
+// 128 such connections held open at once allocate at most
+// stalledClaimBudget bytes in total, measured as the process's
+// cumulative allocation across the whole exchange (an upper bound on
+// the daemon's heap growth); a daemon that allocates each claim up
+// front allocates 128 MiB.
+func TestServerStalledFrameClaimsCostWhatArrives(t *testing.T) {
+	const conns = 128
+	const stalledClaimBudget = 16 << 20
+	srv, err := server.New(server.Config{
+		Addr:     "127.0.0.1:0",
+		Trees:    []*tree.Tree{tree.Path(8)},
+		Alpha:    2,
+		Capacity: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, srv)
+	claim := wire.AppendFrame(nil, wire.TServe, nil)
+	binary.LittleEndian.PutUint32(claim[4:], wire.DefaultMaxPayload)
+	claim = append(claim, 1)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	open := make([]*net.TCPConn, conns)
+	for i := range open {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		open[i] = c.(*net.TCPConn)
+		defer open[i].Close()
+		open[i].SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := open[i].Write(claim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Half-closing makes each handler's payload read end, so once a
+	// connection reads EOF its handler has allocated all it will.
+	for _, c := range open {
+		if err := c.CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range open {
+		if _, err := io.Copy(io.Discard, c); err != nil {
+			t.Fatalf("connection %d: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > stalledClaimBudget {
+		t.Fatalf("%d connections claiming %d-byte payloads allocated %.1f MiB, want at most %d MiB",
+			conns, wire.DefaultMaxPayload, float64(got)/(1<<20), stalledClaimBudget>>20)
 	}
 }
 

@@ -40,8 +40,10 @@
 //     remains an in-memory promise and only checkpoints survive a hard
 //     crash.
 //   - Malformed or stalled clients cannot wedge a handler: every
-//     connection read and write carries a deadline, and frames beyond
-//     the payload limit are rejected before allocation.
+//     connection read and write carries a deadline, frames beyond the
+//     payload limit (wire.DefaultMaxPayload) are rejected before
+//     allocation, and a payload within it costs memory only as its
+//     bytes arrive.
 //   - Graceful drain: Shutdown stops accepting, closes client
 //     connections, drains every shard, checkpoints all shards plus the
 //     sequence table to the state directory at one consistency point,
@@ -53,6 +55,14 @@
 //
 // Tenants map 1:1 onto engine shards (tenant i is served by shard i's
 // instance), the same convention as engine.SubmitMulti.
+//
+// A Config that sets only deployment (addresses, directories), problem
+// (trees, α, capacity) and operations fields (periodic checkpoints,
+// quota) is the production configuration, the one treecached serves
+// with: New fills the zero tuning fields with DefaultFsyncInterval,
+// DefaultReadTimeout and DefaultWriteTimeout, and the engine fills its
+// queue length and supervision cadence with engine.DefaultQueueLen and
+// engine.DefaultCheckpointEvery.
 package server
 
 import (
@@ -109,9 +119,8 @@ type Config struct {
 	WALDir string
 	// FsyncInterval is the WAL group-commit window: the first frame
 	// after an idle period waits this long so one fsync covers every
-	// frame admitted in the window. Zero syncs immediately (still
-	// coalescing frames that race one fsync's duration). Larger
-	// windows trade ack latency for fewer fsyncs.
+	// frame admitted in the window. Larger windows trade ack latency
+	// for fewer fsyncs. 0 selects DefaultFsyncInterval.
 	FsyncInterval time.Duration
 	// CheckpointInterval, when positive with a StateDir, checkpoints
 	// periodically in the background, truncating the WAL and bounding
@@ -126,22 +135,20 @@ type Config struct {
 	Alpha    int64
 	Capacity int
 	// QueueLen and CheckpointEvery tune the wrapped engine; see
-	// engine.Config.
+	// engine.Config. 0 selects engine.DefaultQueueLen and
+	// engine.DefaultCheckpointEvery.
 	QueueLen        int
 	CheckpointEvery int
 	// Quota is the per-tenant admission quota; zero Rate disables.
 	Quota QuotaConfig
 	// ReadTimeout bounds how long a connection may sit between frames
 	// (and mid-frame) before the daemon hangs up: a stalled or
-	// byte-dribbling client costs one connection, not a worker.
-	// Default 30s.
+	// byte-dribbling client costs one connection, not a worker. 0
+	// selects DefaultReadTimeout.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each reply write. Default 10s.
+	// WriteTimeout bounds each reply write. 0 selects
+	// DefaultWriteTimeout.
 	WriteTimeout time.Duration
-	// MaxFrame caps a frame's payload size in bytes (default
-	// wire.DefaultMaxPayload); larger length prefixes are rejected
-	// before any allocation and the connection is closed.
-	MaxFrame int
 	// Wrap, when non-nil, wraps each shard's algorithm before recovery
 	// restores it and the engine sees it — the fault-injection hook the
 	// chaos e2e suite uses — so checkpoint restore and WAL replay go
@@ -149,6 +156,18 @@ type Config struct {
 	// semantics.
 	Wrap func(shard int, algo Algo) Algo
 }
+
+// Production defaults: the values New fills into a zero Config, and so
+// the configuration treecached serves with. Frames are capped at
+// wire.DefaultMaxPayload.
+const (
+	// DefaultFsyncInterval is the WAL group-commit window.
+	DefaultFsyncInterval = 2 * time.Millisecond
+	// DefaultReadTimeout is the per-connection read deadline.
+	DefaultReadTimeout = 30 * time.Second
+	// DefaultWriteTimeout is the per-reply write deadline.
+	DefaultWriteTimeout = 10 * time.Second
+)
 
 // tenantState serializes one tenant's admission path: the sequence
 // check, quota, submit and WAL append happen under mu, so a tenant's
@@ -160,10 +179,12 @@ type tenantState struct {
 }
 
 // WAL record kinds: the first byte of every record, ahead of the raw
-// wire frame payload, so replay reuses the wire codecs.
+// wire frame payload, so replay reuses the wire codecs; a record is
+// therefore at most one byte longer than the largest frame payload.
 const (
 	walRecServe = 1
 	walRecTopo  = 2
+	maxRecord   = 1 + wire.DefaultMaxPayload
 )
 
 // Server is the treecached daemon. Build with New, start with Start
@@ -230,14 +251,14 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.algoConfig().Validate(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	if cfg.FsyncInterval <= 0 {
+		cfg.FsyncInterval = DefaultFsyncInterval
+	}
 	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 30 * time.Second
+		cfg.ReadTimeout = DefaultReadTimeout
 	}
 	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.DefaultMaxPayload
+		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 	return &Server{
 		cfg:      cfg,
@@ -384,7 +405,7 @@ func (s *Server) openWAL() ([][]byte, error) {
 	}
 	var recs [][]byte
 	for _, path := range legacy {
-		r, err := wal.Read(path, s.cfg.MaxFrame+1)
+		r, err := wal.Read(path, maxRecord)
 		if err != nil {
 			return nil, fmt.Errorf("server: wal: %w", err)
 		}
@@ -392,7 +413,7 @@ func (s *Server) openWAL() ([][]byte, error) {
 	}
 	l, tail, err := wal.Open(filepath.Join(dir, walFile), wal.Options{
 		SyncInterval: s.cfg.FsyncInterval,
-		MaxRecord:    s.cfg.MaxFrame + 1,
+		MaxRecord:    maxRecord,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: wal: %w", err)
@@ -701,7 +722,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		f, err := wire.ReadFrame(conn, s.cfg.MaxFrame)
+		f, err := wire.ReadFrame(conn, wire.DefaultMaxPayload)
 		if err != nil {
 			if err != io.EOF {
 				// Framing is broken (garbage, oversize, timeout): tell

@@ -136,14 +136,15 @@ func checkRecovered(t *testing.T, cl *client.Client, tenant int, lastSeq uint64,
 
 func walServerConfig(addr, dir string) server.Config {
 	return server.Config{
-		Addr:          addr,
-		StateDir:      dir,
-		WALDir:        dir,
-		FsyncInterval: time.Millisecond,
-		Trees:         []*tree.Tree{walTestTree()},
-		Alpha:         4,
-		Capacity:      16,
-		QueueLen:      16,
+		Addr:            addr,
+		StateDir:        dir,
+		WALDir:          dir,
+		FsyncInterval:   time.Millisecond,
+		Trees:           []*tree.Tree{walTestTree()},
+		Alpha:           4,
+		Capacity:        16,
+		QueueLen:        16,
+		CheckpointEvery: 16,
 	}
 }
 
@@ -995,8 +996,8 @@ func TestServerWALReplayTransientFault(t *testing.T) {
 	srv.Kill()
 
 	// The fault fires at request 150: mid-batch in the tenth record,
-	// before the shard's first periodic capture (the cadence is the
-	// QueueLen, 16 messages), so recovery restores the capture taken at
+	// before the shard's first periodic capture (walServerConfig's
+	// cadence is 16 messages), so recovery restores the capture taken at
 	// construction and replays a journal of nine records.
 	inj := faultinject.NewInjector()
 	inj.Arm(faultinject.ServeRequest, 150)

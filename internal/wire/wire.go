@@ -105,6 +105,13 @@ func WriteFrame(w io.Writer, t Type, payload []byte) error {
 	return err
 }
 
+// payloadStep is the most ReadFrame allocates for a payload before its
+// bytes arrive: a length prefix claims up to maxPayload bytes, but the
+// buffer starts at min(claim, payloadStep) and at most doubles per read
+// that fills it, so a peer that claims a large payload and stalls pins
+// only what it has sent, within a factor of two, plus one step.
+const payloadStep = 64 << 10
+
 // ReadFrame reads one frame, rejecting payloads larger than maxPayload
 // (0 selects DefaultMaxPayload). A clean EOF before the first header
 // byte returns io.EOF; a header or payload cut short returns
@@ -114,13 +121,11 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 		maxPayload = DefaultMaxPayload
 	}
 	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	// ReadFull returns io.EOF only when no byte arrived.
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
-		return Frame{}, fmt.Errorf("%w: header: %v", ErrFormat, err)
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		return Frame{}, fmt.Errorf("%w: header: %v", ErrFormat, err)
 	}
 	if hdr[0] != magic[0] || hdr[1] != magic[1] {
@@ -137,11 +142,18 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	if int64(n) > int64(maxPayload) {
 		return Frame{}, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, n, maxPayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, fmt.Errorf("%w: payload: %v", ErrFormat, err)
+	payload := make([]byte, min(int(n), payloadStep))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, payload[got:])
+		got += k
+		if err != nil {
+			return Frame{}, fmt.Errorf("%w: payload: %v", ErrFormat, err)
+		}
+		if got == int(n) {
+			return Frame{Type: t, Payload: payload}, nil
+		}
+		payload = append(payload, make([]byte, min(int(n)-got, got))...)
 	}
-	return Frame{Type: t, Payload: payload}, nil
 }
 
 // dec is the shared bounds-checked payload reader. Every method

@@ -7,7 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/trace"
 	"repro/internal/tree"
@@ -29,6 +31,7 @@ func TestReadFrameRejections(t *testing.T) {
 		want error
 	}{
 		{"empty", nil, io.EOF},
+		{"one header byte", []byte{'T'}, ErrFormat},
 		{"truncated header", []byte{'T', 'W', 1}, ErrFormat},
 		{"bad magic", frameBytes('X', 'Y', 1, byte(TServe), 0, nil), ErrFormat},
 		{"bad version", frameBytes('T', 'W', 99, byte(TServe), 0, nil), ErrFormat},
@@ -166,6 +169,33 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got, err := DecodeErrMsg((ErrMsg{Msg: "tenant 9 out of range"}).Encode()); err != nil || got.Msg != "tenant 9 out of range" {
 		t.Fatalf("err round-trip: %+v %v", got, err)
+	}
+}
+
+// TestReadFramePayloadGrowsAsItArrives: a payload larger than one
+// buffer step arrives intact through short reads, while a length prefix
+// that claims the maximum and then stalls costs one step, not the claim.
+func TestReadFramePayloadGrowsAsItArrives(t *testing.T) {
+	payload := make([]byte, 5*payloadStep+12345)
+	rand.New(rand.NewSource(1)).Read(payload)
+	raw := AppendFrame(nil, TServe, payload)
+	f, err := ReadFrame(iotest.HalfReader(bytes.NewReader(raw)), 0)
+	if err != nil || f.Type != TServe || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("ReadFrame of a %d-byte payload: type %v, %d bytes, %v", len(payload), f.Type, len(f.Payload), err)
+	}
+
+	stalled := frameBytes('T', 'W', 1, byte(TServe), DefaultMaxPayload, []byte{1})
+	var before, after runtime.MemStats
+	const reads = 8
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if _, err := ReadFrame(bytes.NewReader(stalled), 0); !errors.Is(err, ErrFormat) {
+			t.Fatalf("stalled payload: %v, want ErrFormat", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > 2*payloadStep {
+		t.Fatalf("a stalled %d-byte claim allocated %d bytes per read, want at most %d", DefaultMaxPayload, per, 2*payloadStep)
 	}
 }
 

@@ -34,18 +34,18 @@ var MultiTenantWorkload = trace.MultiTenant
 // internal/trace.FIBUpdateReplay.
 var FIBUpdateReplay = trace.FIBUpdateReplay
 
-// EngineStats aggregates a fleet's per-shard cost ledgers and latency
-// counters; see internal/engine.Stats.
+// EngineStats is a fleet's per-shard counters plus their totals (an
+// embedded ShardStats); see internal/engine.Stats.
 type EngineStats = engine.Stats
 
-// ShardStats is one shard's snapshot; see internal/engine.ShardStats.
+// ShardStats is one shard's counters; see internal/engine.ShardStats.
 type ShardStats = engine.ShardStats
 
 // LatencyHistogram is a zero-allocation fixed-bucket (log-linear)
 // latency histogram; see internal/metrics.Histogram. Each shard
 // records its amortized per-request service latency into one,
-// published with every stats snapshot; query quantiles with
-// Quantile(0.5), Quantile(0.99), Quantile(0.999).
+// published with the shard's stats after every batch; query quantiles
+// with Quantile(0.5), Quantile(0.99), Quantile(0.999).
 type LatencyHistogram = metrics.Histogram
 
 // RatioMonitor is the online competitive-ratio monitor: it streams the
@@ -58,17 +58,19 @@ type RatioMonitor = metrics.RatioMonitor
 // EngineOptions tunes the sharded serving engine beyond the per-shard
 // algorithm options.
 type EngineOptions struct {
-	// QueueLen is the per-shard batch queue capacity (default 64);
-	// Submit blocks while a shard's queue is full.
+	// QueueLen is the per-shard batch queue capacity; Submit blocks
+	// while a shard's queue is full. 0 selects the engine's default
+	// (engine.DefaultQueueLen, 64 messages).
 	QueueLen int
 	// CheckpointEvery sets the supervision checkpoint cadence in
 	// served messages: each shard snapshots its cache every that many
 	// messages (and at Drain points), journals the messages in
 	// between, and on a panic restores the last checkpoint and replays
-	// the journal — no accepted batch lost or double-served. 0 uses
-	// the queue depth as the cadence; a negative value disables
-	// supervision (a shard panic then propagates and crashes the
-	// process, the pre-supervision behaviour).
+	// the journal — no accepted batch lost or double-served. 0 selects
+	// the engine's default (engine.DefaultCheckpointEvery, 32
+	// messages); a negative value disables supervision (a shard panic
+	// then propagates and crashes the process, the pre-supervision
+	// behaviour).
 	CheckpointEvery int
 	// RatioWindow, when > 0, attaches an online competitive-ratio
 	// monitor to every shard: each monitor accumulates the shard's
@@ -76,10 +78,12 @@ type EngineOptions struct {
 	// RatioWindow requests, computes the offline optimum of the window
 	// (the exact DP for trees small enough for it, the best-static
 	// knapsack otherwise) and updates the live ratio gauge exported by
-	// MetricsHandler. Monitoring assumes a static topology: after
-	// ApplyTopology mutations the monitor's tree snapshot goes stale
-	// and its windows turn into approximations against the original
-	// tree.
+	// MetricsHandler. Windows are scored against the tree the engine
+	// was built with: a window that requests a rule announced by
+	// ApplyTopology is skipped, not scored, and counted
+	// (RatioMonitor.Skipped, treecache_ratio_windows_skipped_total),
+	// while a window of original rules is scored against the original
+	// topology even after mutations changed it.
 	RatioWindow int
 }
 

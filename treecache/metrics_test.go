@@ -93,3 +93,37 @@ func TestEngineObservability(t *testing.T) {
 		t.Fatal("monitor attached without RatioWindow")
 	}
 }
+
+// TestEngineRatioSkipsAnnouncedRules: a ratio window that requests a
+// rule announced by ApplyTopology cannot be scored against the tree the
+// monitor was built with. It is skipped and counted, and the shard
+// keeps serving; a later window of original rules is scored.
+func TestEngineRatioSkipsAnnouncedRules(t *testing.T) {
+	tr := treecache.CompleteKary(63, 2)
+	e := treecache.NewEngine([]*treecache.Tree{tr}, treecache.Options{Alpha: 4, Capacity: 8},
+		treecache.EngineOptions{RatioWindow: 4})
+	defer e.Close()
+	if err := e.ApplyTopology(0, []treecache.Mutation{treecache.InsertMut(63, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	announced := treecache.Pos(treecache.NodeID(tr.Len()))
+	if err := e.Submit(0, announced, announced, announced, announced, announced); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Submit(0, treecache.Pos(1), treecache.Pos(2), treecache.Pos(1), treecache.Pos(2)); err != nil {
+		t.Fatal(err)
+	}
+	e.Drain()
+	m := e.RatioMonitor(0)
+	if m.Skipped() != 1 || m.Windows() != 1 {
+		t.Fatalf("%d windows skipped, %d scored; want 1 and 1", m.Skipped(), m.Windows())
+	}
+	if st := e.Stats(); st.Rounds != 9 || st.TopoApplied != 1 {
+		t.Fatalf("rounds %d, topology applied %d; want 9 and 1", st.Rounds, st.TopoApplied)
+	}
+	rec := httptest.NewRecorder()
+	e.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if want := `treecache_ratio_windows_skipped_total{shard="0",algorithm="TC"} 1`; !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("scrape missing %q:\n%s", want, rec.Body.String())
+	}
+}
